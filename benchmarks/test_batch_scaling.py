@@ -5,8 +5,10 @@ single-CPU machine a process pool adds pickling and scheduling overhead
 with nothing to overlap, so the speedup tests skip there (the tracked
 baseline records the full worker curve regardless, with the host CPU
 count next to it, and gates the 2-worker speedup only on multi-CPU
-hosts).  The result-parity test always runs — the pool path must
-produce the same rows as the serial path on any machine.  Setting
+hosts).  Speedups are measured against the serial reference: direct
+in-process :func:`~repro.batch.diff_pair` calls, one pair after another.
+The result-parity test always runs — the pool must produce the same
+rows as that reference on any machine.  Setting
 ``REQUIRE_BATCH_SCALING=1`` (the CI ``batch-scaling`` job) turns the
 2-worker gate from skippable into mandatory: it then *fails* rather
 than skips on an under-provisioned runner.
@@ -19,7 +21,7 @@ import time
 
 import pytest
 
-from repro.batch import BatchConfig, run_batch
+from repro.batch import BatchConfig, diff_pair, run_batch
 from repro.corpus import generate_module, mutate_source
 from repro.corpus.generator import GeneratorConfig
 import random
@@ -52,16 +54,24 @@ def _timed_run(pairs, workers):
     t0 = time.perf_counter()
     summary = run_batch(
         pairs,
-        BatchConfig(workers=workers, timeout_s=None, chunksize=1),
+        BatchConfig(workers=workers, timeout_s=None),
         emit=rows.append,
     )
     return time.perf_counter() - t0, summary, rows
 
 
-def test_pool_matches_serial_results(corpus_pairs):
-    _, serial_summary, serial_rows = _timed_run(corpus_pairs, workers=1)
+def _timed_serial(pairs):
+    """The serial reference: every pair diffed in this process."""
+    t0 = time.perf_counter()
+    rows = [diff_pair(before, after) for before, after in pairs]
+    return time.perf_counter() - t0, rows
+
+
+def test_pool_matches_in_process_diff_pair(corpus_pairs):
+    _, serial_rows = _timed_serial(corpus_pairs)
     _, pool_summary, pool_rows = _timed_run(corpus_pairs, workers=2)
-    assert serial_summary.failed == 0 and pool_summary.failed == 0
+    assert pool_summary.failed == 0
+    assert all(row["status"] == "ok" for row in serial_rows)
     key = lambda r: r["before"]  # noqa: E731
 
     def strip(row):
@@ -72,8 +82,10 @@ def test_pool_matches_serial_results(corpus_pairs):
     assert sorted(map(strip, serial_rows), key=key) == sorted(
         map(strip, pool_rows), key=key
     )
-    assert pool_summary.edits == serial_summary.edits
-    assert pool_summary.nodes == serial_summary.nodes
+    assert pool_summary.edits == sum(row["edits"] for row in serial_rows)
+    assert pool_summary.nodes == sum(
+        row["src_nodes"] + row["dst_nodes"] for row in serial_rows
+    )
 
 
 @pytest.mark.skipif(CPUS < 2, reason=f"needs >=2 CPUs to measure scaling (have {CPUS})")
@@ -82,7 +94,7 @@ def test_multi_worker_speedup(corpus_pairs):
     # best-of-2 each to damp scheduler noise; serial measured second so
     # any filesystem-cache warmup favors the baseline, not the claim
     pool_elapsed = min(_timed_run(corpus_pairs, workers)[0] for _ in range(2))
-    serial_elapsed = min(_timed_run(corpus_pairs, 1)[0] for _ in range(2))
+    serial_elapsed = min(_timed_serial(corpus_pairs)[0] for _ in range(2))
     speedup = serial_elapsed / pool_elapsed
     # conservative floor: pool startup (fork + import) is paid once and
     # the corpus is a few seconds of work, so even 2 workers should beat
@@ -114,7 +126,7 @@ def test_two_worker_speedup_gate(corpus_pairs):
             "the scaling gate needs a multi-core runner"
         )
     pool_elapsed = min(_timed_run(corpus_pairs, 2)[0] for _ in range(2))
-    serial_elapsed = min(_timed_run(corpus_pairs, 1)[0] for _ in range(2))
+    serial_elapsed = min(_timed_serial(corpus_pairs)[0] for _ in range(2))
     speedup = serial_elapsed / pool_elapsed
     assert speedup >= 1.5, (
         f"2 workers gave {speedup:.2f}x over serial "

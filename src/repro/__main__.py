@@ -429,6 +429,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
     """
     from repro.batch import BatchConfig, discover_pairs, read_pairs_file, run_batch
 
+    for flag in ("workers", "retries", "timeout"):
+        value = getattr(args, flag)
+        if value < 0:
+            raise CLIError(f"--{flag}", f"must be >= 0, got {value:g}")
     if args.pairs:
         try:
             pairs = read_pairs_file(args.pairs)
@@ -456,7 +460,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         workers=args.workers,
         timeout_s=args.timeout if args.timeout > 0 else None,
         retries=args.retries,
-        chunksize=args.chunksize,
         fallback_replace=args.fallback_replace,
     )
     collector = None
@@ -864,7 +867,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=0,
-        help="worker processes (0 = all CPUs, 1 = serial in-process)",
+        help="worker processes (0 = all CPUs)",
     )
     p_batch.add_argument(
         "--timeout",
@@ -874,9 +877,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_batch.add_argument(
         "--retries", type=int, default=1, help="re-submissions of timeout/crash failures"
-    )
-    p_batch.add_argument(
-        "--chunksize", type=int, default=8, help="pairs per pool task (amortizes pickling)"
     )
     p_batch.add_argument(
         "--fallback-replace",

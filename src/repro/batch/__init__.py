@@ -1,9 +1,10 @@
 """Corpus-scale parallel batch diffing with per-pair fault isolation.
 
-:func:`run_batch` fans file pairs out over a process pool (chunked
-submission, per-pair timeout, bounded retry of transient failures) and
-streams one structured result row per pair; ``python -m repro batch``
-is the CLI front end, writing rows as JSON Lines.
+:func:`run_batch` fans file pairs out over :class:`repro.pool.DiffPool`
+(one task per pair, per-pair deadline, bounded retry of transient
+failures) and streams one structured result row per pair;
+``python -m repro batch`` is the CLI front end, writing rows as JSON
+Lines.
 """
 
 from .driver import (
@@ -14,7 +15,7 @@ from .driver import (
     read_pairs_file,
     run_batch,
 )
-from .worker import RETRYABLE_KINDS, diff_pair, diff_pair_degrading, run_chunk
+from .worker import RETRYABLE_KINDS, diff_pair, diff_pair_degrading
 
 __all__ = [
     "BatchConfig",
@@ -26,5 +27,4 @@ __all__ = [
     "discover_pairs",
     "read_pairs_file",
     "run_batch",
-    "run_chunk",
 ]

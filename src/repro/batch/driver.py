@@ -2,19 +2,19 @@
 production-batching step; the workload of the paper's Section 6
 evaluation — thousands of changed file pairs from a repository history).
 
-The driver fans file pairs out over a ``ProcessPoolExecutor``:
+The driver fans file pairs out over :class:`repro.pool.DiffPool`, the
+worker pool the daemon also runs on, one task per pair:
 
-* **chunked submission** — pairs travel in chunks of
-  :attr:`BatchConfig.chunksize` to amortize pickling and scheduling;
 * **fault isolation** — a syntax error, timeout, or crash in one pair
   is recorded as a structured failure row and never aborts the run.
   Expected failures are caught inside the worker
   (:mod:`repro.batch.worker`); hard worker death is detected via the
-  broken pool, the in-flight pairs are marked ``crash``, and the pool is
-  rebuilt;
-* **per-pair timeout and bounded retry** — each pair runs under a
-  wall-clock budget, and ``timeout``/``crash`` failures (transient by
-  nature) are re-submitted up to :attr:`BatchConfig.retries` times;
+  broken pool, which is rebuilt, and the in-flight pairs re-run one at a
+  time until the culprit is known;
+* **per-pair deadline and bounded retry** — a pair that runs past
+  :attr:`BatchConfig.timeout_s` has its worker killed and the pool
+  rebuilt; ``timeout``/``crash`` failures (transient by nature) are
+  re-submitted up to :attr:`BatchConfig.retries` times;
 * **streaming results** — rows are handed to the ``emit`` callback as
   they arrive (the CLI writes JSONL), so driver memory stays flat on
   large corpora; only the aggregate :class:`BatchSummary` accumulates.
@@ -22,16 +22,16 @@ The driver fans file pairs out over a ``ProcessPoolExecutor``:
 Observability: the run is wrapped in a ``repro.batch.run`` span, and
 each row bumps ``repro.batch.pairs`` / ``repro.batch.failures`` and
 feeds the ``repro.batch.worker.ms`` histogram when instrumentation is
-enabled.  With instrumentation on, the driver additionally threads a
-:class:`~repro.observability.aggregate.TelemetryCollector` through the
-pool: every task chunk carries an obs envelope (trace context + sampling
-+ optional spill directory), workers return per-chunk span/metric
-deltas, and the driver merges them into its own registry — so
-``snapshot()`` after a batch run covers driver *and* workers, and the
-collector holds the causal span pool for timeline export.  Callers may
-pass their own collector to :func:`run_batch` (the CLI does, to choose a
-spill directory and export the trace); otherwise one is created
-internally whenever instrumentation is enabled.
+enabled.  With instrumentation on, the driver additionally hands the
+pool a :class:`~repro.observability.aggregate.TelemetryCollector`:
+every pair task carries an obs envelope (trace context + sampling +
+optional spill directory), workers return per-pair span/metric deltas,
+and the pool merges them into the driver's registry — so ``snapshot()``
+after a batch run covers driver *and* workers, and the collector holds
+the causal span pool for timeline export.  Callers may pass their own
+collector to :func:`run_batch` (the CLI does, to choose a spill
+directory and export the trace); otherwise one is created internally
+whenever instrumentation is enabled.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
@@ -47,27 +48,26 @@ from repro.observability import OBS, metrics as _metrics, span as _span
 from repro.observability import tracing_enabled
 from repro.observability.aggregate import TelemetryCollector
 from repro.observability.tracing import TRACE
+from repro.pool import DiffPool
 
-from .worker import RETRYABLE_KINDS, run_chunk
+from .worker import RETRYABLE_KINDS, pair_task
 
 
 @dataclass(frozen=True)
 class BatchConfig:
     """Knobs of the batch driver.
 
-    ``workers=0`` (the default) uses ``os.cpu_count()``; ``workers=1``
-    runs the serial in-process loop (no pool, no pickling) — the
-    baseline the scaling benchmark compares against.  ``timeout_s=None``
-    disables the per-pair budget; ``retries`` bounds re-submission of
-    timeout/crash failures.  ``fallback_replace`` degrades internal diff
-    errors to verified replace-root scripts (``status="degraded"`` rows)
-    instead of failure rows.
+    ``workers=0`` (the default) uses ``os.cpu_count()`` worker
+    processes; ``workers=1`` is a one-worker pool.  ``timeout_s=None``
+    (or ``<= 0``) disables the per-pair deadline; ``retries`` bounds
+    re-submission of timeout/crash failures.  ``fallback_replace``
+    degrades internal diff errors to verified replace-root scripts
+    (``status="degraded"`` rows) instead of failure rows.
     """
 
     workers: int = 0
     timeout_s: Optional[float] = 30.0
     retries: int = 1
-    chunksize: int = 8
     fallback_replace: bool = False
 
     def resolved_workers(self) -> int:
@@ -95,7 +95,7 @@ class BatchSummary:
     elapsed_s: float = 0.0
     workers: int = 1
     #: pid -> merged metrics snapshot, one entry per pool worker that
-    #: returned telemetry (empty when instrumentation was off or serial).
+    #: returned telemetry (empty when instrumentation was off).
     per_worker: dict[int, dict[str, Any]] = field(default_factory=dict)
     #: collector's aggregation summary (envelopes, span counts), if any.
     telemetry: Optional[dict[str, Any]] = None
@@ -170,25 +170,18 @@ def read_pairs_file(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _crash_row(before: str, after: str) -> dict[str, Any]:
+def _error_row(
+    before: str, after: str, kind: str, error: str, total_ms: float = 0.0
+) -> dict[str, Any]:
+    """The failure row the driver writes for a pair whose task returned
+    none (its worker was killed or died, or the task could not run)."""
     return {
         "before": before,
         "after": after,
         "status": "error",
-        "error_kind": "crash",
-        "error": "worker process died (broken process pool)",
-        "total_ms": 0.0,
-    }
-
-
-def _internal_row(before: str, after: str, exc: BaseException) -> dict[str, Any]:
-    return {
-        "before": before,
-        "after": after,
-        "status": "error",
-        "error_kind": "internal",
-        "error": " ".join((str(exc) or type(exc).__name__).split()),
-        "total_ms": 0.0,
+        "error_kind": kind,
+        "error": error,
+        "total_ms": round(total_ms, 3),
     }
 
 
@@ -229,53 +222,22 @@ class _RowSink:
             self.emit(row)
 
 
-def _chunked(indices: list[int], size: int) -> list[list[int]]:
-    return [indices[i : i + size] for i in range(0, len(indices), size)]
-
-
-def _chunk_result(
-    result: "list[dict[str, Any]] | dict[str, Any]",
-) -> tuple[list[dict[str, Any]], Optional[dict[str, Any]]]:
-    """Normalize :func:`run_chunk`'s two return shapes to (rows, telemetry)."""
-    if isinstance(result, dict):
-        return result["rows"], result.get("telemetry")
-    return result, None
-
-
-def _run_serial(
-    pairs: list[tuple[str, str]],
-    config: BatchConfig,
-    sink: _RowSink,
-    pair_fn: Optional[Callable[[str, str], dict]],
-    obs: Optional[dict[str, Any]] = None,
-) -> None:
-    retries = max(0, config.retries)
-    for before, after in pairs:
-        attempts = 0
-        while True:
-            attempts += 1
-            result = run_chunk([(before, after)], config.timeout_s, pair_fn, obs)
-            row = _chunk_result(result)[0][0]
-            if (
-                row["status"] == "error"
-                and row.get("error_kind") in RETRYABLE_KINDS
-                and attempts <= retries
-            ):
-                sink.summary.retried += 1
-                continue
-            sink(row, attempts)
-            break
-
-
 def _run_pool(
     pairs: list[tuple[str, str]],
     config: BatchConfig,
     sink: _RowSink,
     pair_fn: Optional[Callable[[str, str], dict]],
-    obs: Optional[dict[str, Any]] = None,
-    collector: Optional[TelemetryCollector] = None,
+    collector: Optional[TelemetryCollector],
 ) -> None:
-    """The parallel driver loop, with blame-accurate crash handling.
+    """The driver loop: one pool task per pair, blame-accurate failures.
+
+    Up to ``2 * workers`` tasks are queued so no worker idles between
+    pairs.  The pool starts tasks in submission order, so the running
+    pairs are the oldest ``workers`` unfinished ones; a pair's deadline
+    clock starts when it enters that set.  When the oldest running pair
+    outlives ``timeout_s``, the pool kills its workers and rebuilds:
+    that pair gets a charged ``timeout`` row, and every other in-flight
+    pair is re-queued uncharged — the blame is known.
 
     When a worker dies, ``BrokenProcessPool`` fails *every* in-flight
     future, so the culprit is ambiguous.  The loop therefore moves all
@@ -283,84 +245,98 @@ def _run_pool(
     time (nothing else in flight): a pair that breaks the pool while
     running alone is unambiguously to blame and is charged a retry;
     innocent pool-mates complete normally with their budget intact.
-    Per-pair rows (timeouts, syntax errors) name their pair directly and
-    charge it without entering isolation.
+    Per-pair rows (syntax errors and the like) name their pair directly.
+    Every execution, killed ones included, counts in the row's
+    ``attempts``.
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures import FIRST_COMPLETED, wait
 
     workers = config.resolved_workers()
     retries = max(0, config.retries)
+    timeout_s = config.timeout_s if config.timeout_s and config.timeout_s > 0 else None
     runs = [0] * len(pairs)  # executions, reported as the row's "attempts"
     charged = [0] * len(pairs)  # blamed failures, bounded by `retries`
-    queue: deque[list[int]] = deque(_chunked(list(range(len(pairs))), max(1, config.chunksize)))
+    queue: deque[int] = deque(range(len(pairs)))
     suspects: deque[int] = deque()
-    executor = ProcessPoolExecutor(max_workers=workers)
-    in_flight: dict[Any, list[int]] = {}
+    in_flight: dict[Any, int] = {}  # future -> pair, in submission order
+    clock: dict[Any, float] = {}  # future -> when its pair started running
+    pool = DiffPool(workers, collector)
 
-    def submit(chunk: list[int]) -> None:
-        for i in chunk:
-            runs[i] += 1
-        fut = executor.submit(
-            run_chunk, [pairs[i] for i in chunk], config.timeout_s, pair_fn, obs
-        )
-        in_flight[fut] = chunk
+    def submit(i: int) -> None:
+        runs[i] += 1
+        payload = {"before": pairs[i][0], "after": pairs[i][1], "pair_fn": pair_fn}
+        in_flight[pool.submit(payload, pair_task)] = i
 
-    def handle_row(i: int, row: dict[str, Any]) -> None:
+    def settle(i: int, row: dict[str, Any]) -> None:
         if row["status"] == "error" and row.get("error_kind") in RETRYABLE_KINDS:
             charged[i] += 1
             if charged[i] <= retries:
                 sink.summary.retried += 1
-                queue.append([i])
+                queue.append(i)
                 return
         sink(row, runs[i])
+
+    def abandon() -> list[int]:
+        """Forget every in-flight future (the pool was just rebuilt)."""
+        victims = list(in_flight.values())
+        in_flight.clear()
+        clock.clear()
+        return victims
 
     try:
         while queue or suspects or in_flight:
             if suspects:
                 # isolation mode: one suspect alone in the pool at a time
                 if not in_flight:
-                    submit([suspects.popleft()])
+                    submit(suspects.popleft())
             else:
                 while queue and len(in_flight) < workers * 2:
                     submit(queue.popleft())
-            done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-            pool_broken = False
+            wait_s = None
+            if timeout_s is not None:
+                now = time.monotonic()
+                for fut in islice(in_flight, workers):
+                    clock.setdefault(fut, now)
+                oldest = next(iter(in_flight))
+                wait_s = max(0.0, clock[oldest] + timeout_s - now)
+            done, _ = wait(set(in_flight), timeout=wait_s, return_when=FIRST_COMPLETED)
+            if not done:
+                done = {oldest}  # past its deadline
             for fut in done:
                 if fut not in in_flight:
-                    continue  # already drained by a broken-pool sweep
-                chunk = in_flight.pop(fut)
+                    continue  # already abandoned by a pool rebuild
+                i = in_flight.pop(fut)
+                started = clock.pop(fut, None)
                 try:
-                    rows, telemetry = _chunk_result(fut.result())
-                    if collector is not None:
-                        collector.absorb(telemetry)
-                except BrokenProcessPool:
-                    pool_broken = True
-                    victims = [i for c in ([chunk] + list(in_flight.values())) for i in c]
-                    in_flight.clear()
+                    row = pool.finish(fut, timeout_s=None if fut.done() else 0)
+                except Exception as exc:  # the task itself failed: isolate it
+                    error = " ".join((str(exc) or type(exc).__name__).split())
+                    row = _error_row(*pairs[i], "internal", error)
+                failure = row.get("error_type")
+                if failure == "Timeout":
+                    queue.extendleft(reversed(abandon()))
+                    error = f"pair exceeded {timeout_s:g}s budget (worker killed, pool rebuilt)"
+                    ran_ms = (time.monotonic() - started) * 1000
+                    settle(i, _error_row(*pairs[i], "timeout", error, ran_ms))
+                elif failure == "BrokenProcessPool":
+                    victims = [i] + abandon()
                     if len(victims) == 1:
                         # ran alone: this pair provably killed the worker
-                        i = victims[0]
                         charged[i] += 1
                         if charged[i] <= retries:
                             sink.summary.retried += 1
                             suspects.append(i)
                         else:
-                            sink(_crash_row(*pairs[i]), runs[i])
+                            error = "worker process died (broken process pool)"
+                            sink(_error_row(*pairs[i], "crash", error), runs[i])
                     else:
                         # ambiguous blame: re-run each victim in isolation,
                         # no retry budget charged
                         suspects.extend(victims)
-                    continue
-                except Exception as exc:  # chunk-level failure: isolate it
-                    rows = [_internal_row(*pairs[i], exc) for i in chunk]
-                for i, row in zip(chunk, rows):
-                    handle_row(i, row)
-            if pool_broken:
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = ProcessPoolExecutor(max_workers=workers)
+                else:
+                    settle(i, row)
     finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=False)
 
 
 def run_batch(
@@ -390,7 +366,7 @@ def run_batch(
 
         pair_fn = diff_pair_degrading
     pair_list = [(str(b), str(a)) for b, a in pairs]
-    summary = BatchSummary(workers=1 if config.workers == 1 else config.resolved_workers())
+    summary = BatchSummary(workers=config.resolved_workers())
     sink = _RowSink(summary, emit)
     if collector is None and OBS.enabled:
         collector = TelemetryCollector(
@@ -399,14 +375,9 @@ def run_batch(
     started = time.perf_counter()
     with _span("repro.batch.run") as sp:
         sp.set_attrs(pairs=len(pair_list), workers=summary.workers)
-        # Build the envelope *inside* the run span so worker pair spans
-        # parent under it (current_context() is the run span here).
-        obs = collector.envelope() if collector is not None else None
-        if config.workers == 1 or (config.workers <= 0 and summary.workers == 1):
-            summary.workers = 1
-            _run_serial(pair_list, config, sink, pair_fn, obs)
-        else:
-            _run_pool(pair_list, config, sink, pair_fn, obs, collector)
+        # Tasks are submitted *inside* the run span, so the envelope each
+        # carries parents the worker pair spans under it.
+        _run_pool(pair_list, config, sink, pair_fn, collector)
     summary.elapsed_s = time.perf_counter() - started
     if collector is not None:
         collector.absorb_spills()

@@ -8,20 +8,17 @@ Fault isolation is layered:
 
 * :func:`diff_pair` catches the *expected* per-pair failures (unreadable
   files, syntax errors) and classifies them;
-* :func:`run_chunk` wraps every pair in a wall-clock timeout
-  (``SIGALRM``-based on the POSIX main thread; a thread-guard fallback
-  everywhere else, so the budget is never silently skipped) and a
-  catch-all, so an unexpected exception in one pair becomes a structured
-  failure row instead of poisoning the whole chunk;
-* hard worker death (segfault, ``os._exit``) cannot be caught here at
-  all — the driver detects the broken pool, records the in-flight pairs
-  as ``crash`` failures, rebuilds the pool, and moves on.
+* :func:`pair_task` runs one pair as a :class:`~repro.pool.DiffPool`
+  task under a catch-all, so an unexpected exception in a pair becomes
+  a structured failure row instead of a failed task;
+* a pair that outlives its deadline or kills its worker (segfault,
+  ``os._exit``) cannot be handled here at all — the driver's pool kills
+  the workers, rebuilds itself, and the driver writes the ``timeout`` or
+  ``crash`` row.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
 import time
 from typing import Any, Callable, Optional
 
@@ -30,13 +27,7 @@ from typing import Any, Callable, Optional
 RETRYABLE_KINDS = frozenset({"timeout", "crash"})
 
 
-class PairTimeout(Exception):
-    """The per-pair wall-clock budget was exhausted."""
-
-
 def _classify(exc: BaseException) -> str:
-    if isinstance(exc, PairTimeout):
-        return "timeout"
     if isinstance(exc, SyntaxError):
         return "syntax"
     if isinstance(exc, (OSError, UnicodeDecodeError)):
@@ -131,8 +122,6 @@ def _degraded_row(
         mt.patch(script, atomic=True, sigs=src.sigs, verify=True)
         if not mt.structure_equals(tnode_to_mtree(dst)):
             return None
-    except PairTimeout:
-        raise  # the pair's wall-clock budget expired; report the timeout
     except Exception:
         return None
     return {
@@ -228,148 +217,39 @@ def diff_pair_degrading(before: str, after: str) -> dict[str, Any]:
     return diff_pair(before, after, fallback_replace=True)
 
 
-def _alarm_deliverable() -> bool:
-    """``SIGALRM`` deadlines only work on POSIX *and* on the thread that
-    receives signals — the process's main thread."""
-    return (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-
-
-def _pick_fence(timeout_s: Optional[float]) -> Optional[str]:
-    """Which per-pair deadline mechanism applies, or ``None``.
-
-    Pool workers run tasks on their main thread, so the cheap ``SIGALRM``
-    fence is the common case.  Off the POSIX main thread (an asyncio
-    server driving ``run_chunk`` on an executor thread, Windows, a
-    caller embedding the driver in a thread) the alarm would be silently
-    undeliverable — historically the budget was just *skipped* there,
-    letting a pathological pair run unbounded.  Those cases now get the
-    wall-clock thread guard instead of no fence at all.
-    """
-    if timeout_s is None or timeout_s <= 0:
-        return None
-    return "alarm" if _alarm_deliverable() else "thread"
-
-
-def _call_with_timeout(
-    fn: Callable[[str, str], dict], before: str, after: str, timeout_s: float
+def pair_task(
+    payload: dict[str, Any], obs_env: Optional[dict[str, Any]]
 ) -> dict[str, Any]:
-    """Run ``fn`` under a ``SIGALRM`` deadline (pool workers execute tasks
-    in their main thread, so the alarm is deliverable)."""
+    """Top-level (picklable) :class:`~repro.pool.DiffPool` task: one file
+    pair in a worker.
 
-    def on_alarm(signum, frame):
-        raise PairTimeout(f"pair exceeded {timeout_s:g}s budget")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        return fn(before, after)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _call_with_thread_guard(
-    fn: Callable[[str, str], dict], before: str, after: str, timeout_s: float
-) -> dict[str, Any]:
-    """Wall-clock fallback fence for where ``SIGALRM`` cannot fire.
-
-    The pair runs on a daemon thread joined against the budget; on
-    expiry the caller gets a structured ``timeout`` row immediately.
-    The abandoned thread cannot be killed and may run to completion in
-    the background — a bounded leak, which is still strictly better
-    than the unbounded pair the silent skip used to allow — so its
-    eventual result (or error) is discarded.
+    ``payload`` is ``{"before", "after", "pair_fn"}``, where ``pair_fn``
+    is the picklable per-pair function given to
+    :func:`~repro.batch.run_batch` (``None`` for :func:`diff_pair`).
+    The worker resets fork-inherited observability state, adopts the
+    driver's trace context as a resample point, and wraps the pair in a
+    ``repro.batch.pair`` span carrying its paths and outcome.  Returns
+    ``{"result": row, "telemetry": ...}``, where ``telemetry`` is this
+    worker's span/metric delta (``None`` when instrumentation is off or
+    the delta was spilled to disk).
     """
-    box: dict[str, Any] = {}
-
-    def run() -> None:
-        try:
-            box["row"] = fn(before, after)
-        except BaseException as exc:  # noqa: BLE001 - re-raised on the caller
-            box["exc"] = exc
-
-    worker = threading.Thread(
-        target=run, name="repro-pair-guard", daemon=True
-    )
-    worker.start()
-    worker.join(timeout_s)
-    if worker.is_alive():
-        raise PairTimeout(
-            f"pair exceeded {timeout_s:g}s budget "
-            "(wall-clock guard; worker thread abandoned)"
-        )
-    if "exc" in box:
-        raise box["exc"]
-    return box["row"]
-
-
-def _fenced_row(
-    fn: Callable[[str, str], dict],
-    before: str,
-    after: str,
-    timeout_s: Optional[float],
-    fence: Optional[str],
-) -> dict[str, Any]:
-    started = time.perf_counter()
-    try:
-        if fence == "alarm":
-            return _call_with_timeout(fn, before, after, timeout_s)
-        if fence == "thread":
-            return _call_with_thread_guard(fn, before, after, timeout_s)
-        return fn(before, after)
-    except Exception as exc:
-        return _failure_row(before, after, exc, started)
-
-
-def run_chunk(
-    pairs: list[tuple[str, str]],
-    timeout_s: Optional[float] = None,
-    pair_fn: Optional[Callable[[str, str], dict]] = None,
-    obs: Optional[dict[str, Any]] = None,
-) -> "list[dict[str, Any]] | dict[str, Any]":
-    """Process a chunk of file pairs, one result row per pair.
-
-    Chunking amortizes task pickling and scheduling over several pairs;
-    ``pair_fn`` is injectable for tests (it must be a picklable top-level
-    function).  Every pair is individually fenced: a timeout or crash of
-    one pair yields its failure row and the chunk continues.
-
-    Without ``obs`` (the default), returns the plain list of rows.  With
-    an obs envelope (built by the driver's
-    :class:`~repro.observability.aggregate.TelemetryCollector`), the
-    chunk runs instrumented — the worker resets fork-inherited state,
-    adopts the driver's trace context as a resample point, wraps every
-    pair in a ``repro.batch.pair`` span carrying the pair's paths and
-    outcome — and returns ``{"rows": [...], "telemetry": {...}}``, where
-    ``telemetry`` is this worker's span/metric delta (or ``None`` when
-    it was spilled to disk or the chunk ran in the driver process).
-    """
-    fn = pair_fn if pair_fn is not None else diff_pair
-    fence = _pick_fence(timeout_s)
-    if obs is None:
-        return [
-            _fenced_row(fn, before, after, timeout_s, fence)
-            for before, after in pairs
-        ]
-
     from repro.observability import OBS, REGISTRY, remote_context, span as _span
     from repro.observability.aggregate import worker_setup, worker_telemetry
 
-    worker_setup(obs)
-    rows: list[dict[str, Any]] = []
-    with remote_context(obs.get("trace_ctx"), resample=True):
-        for before, after in pairs:
-            with _span("repro.batch.pair") as sp:
-                row = _fenced_row(fn, before, after, timeout_s, fence)
-                sp.set_attrs(
-                    before=before, after=after, status=row.get("status", "error")
-                )
-                if row.get("status") == "error":
-                    sp.set_status("error", row.get("error_kind"))
-            if OBS.enabled:
-                REGISTRY.counter("repro.batch.worker.rows").inc()
-            rows.append(row)
-    return {"rows": rows, "telemetry": worker_telemetry(obs)}
+    before, after = payload["before"], payload["after"]
+    fn: Callable[[str, str], dict] = payload.get("pair_fn") or diff_pair
+    worker_setup(obs_env)
+    ctx = obs_env.get("trace_ctx") if obs_env else None
+    with remote_context(ctx, resample=True):
+        with _span("repro.batch.pair") as sp:
+            started = time.perf_counter()
+            try:
+                row = fn(before, after)
+            except Exception as exc:
+                row = _failure_row(before, after, exc, started)
+            sp.set_attrs(before=before, after=after, status=row.get("status", "error"))
+            if row.get("status") == "error":
+                sp.set_status("error", row.get("error_kind"))
+    if OBS.enabled:
+        REGISTRY.counter("repro.batch.worker.rows").inc()
+    return {"result": row, "telemetry": worker_telemetry(obs_env)}

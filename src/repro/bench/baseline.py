@@ -45,8 +45,8 @@ comparing the disabled-metrics ``warm_diff_nodes_per_sec``.
 Since PR 3 the document also records a **batch throughput section**
 (schema v3): the frozen corpus written out as files and driven through
 :func:`repro.batch.run_batch` — end-to-end pairs/sec and nodes/sec
-including parse, for the serial in-process path and (on multi-CPU
-machines) the process pool, with the resulting speedup.  On single-CPU
+including parse, for one worker process and (on multi-CPU machines)
+more, with the resulting speedup.  On single-CPU
 machines the parallel measurement is recorded as ``null`` rather than
 measuring pool overhead as if it were the feature.  The regression gate
 still compares the disabled-metrics ``warm_diff_nodes_per_sec`` only.
@@ -73,7 +73,7 @@ the speedup gate in :func:`check_regression` only applies where the
 recorded CPU count makes the number meaningful.
 
 Since PR 7 (schema v6) the document also records a **tracing section**:
-the serial batch workload re-measured with causal tracing enabled at the
+the one-worker batch workload re-measured with causal tracing enabled at the
 default batch sampling rate (``1/8`` head sampling of per-pair
 subtrees), the resulting overhead percentage, and the span volume.  The
 regression gate additionally requires that sampled tracing costs at most
@@ -539,11 +539,11 @@ def _write_batch_corpus(root: str, sources: list[list[str]]) -> list[tuple[str, 
 
 
 def _measure_tracing(sources: list[list[str]]) -> dict:
-    """Serial batch throughput with sampled causal tracing on vs. off.
+    """One-worker batch throughput with sampled causal tracing on vs. off.
 
-    The workload is the serial (``workers=1``) batch run over the frozen
-    corpus — the configuration whose per-pair spans, head sampling, and
-    telemetry plumbing all sit on the measured path.  Off and on phases
+    The workload is the one-worker (``workers=1``) batch run over the
+    frozen corpus — the configuration whose per-pair spans, head
+    sampling, and telemetry plumbing all sit on the measured path.  Off and on phases
     are interleaved (like :func:`_measure_observability`) so container
     drift cancels out of the overhead ratio; tracing runs at the
     production sampling rate (:data:`TRACING_SAMPLE`).
@@ -724,7 +724,7 @@ def measure(scheme: str = "blake2b") -> dict:
 #: The 2-worker speedup the scaling curve must reach on multi-CPU hosts.
 MIN_SPEEDUP_AT_2 = 1.5
 
-#: The most sampled tracing may cost the serial batch workload (schema v6).
+#: The most sampled tracing may cost the one-worker batch workload (schema v6).
 MAX_TRACING_OVERHEAD_PCT = 5.0
 
 

@@ -16,7 +16,7 @@ incremental engine.  This subsystem makes them first-class:
   ids over :mod:`contextvars`), wall-clock epoch timestamps, head
   sampling (``OBS_SAMPLE=1/N``), and cross-process propagation
   (:func:`current_context` / :class:`remote_context`);
-* :mod:`repro.observability.aggregate` — the batch-pool glue: obs
+* :mod:`repro.observability.aggregate` — the worker-pool glue: obs
   envelopes, fork-safe worker setup, per-worker telemetry deltas with
   JSONL spill, and the driver-side :class:`TelemetryCollector`;
 * :mod:`repro.observability.export` — Chrome trace-event JSON, OTLP-shaped

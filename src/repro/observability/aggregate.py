@@ -1,6 +1,7 @@
-"""Cross-process span/metric aggregation for the batch pool.
+"""Cross-process span/metric aggregation for the worker pool.
 
-The batch driver and its pool workers each have a *process-local*
+The batch driver (or the daemon) and its :class:`repro.pool.DiffPool`
+workers each have a *process-local*
 metrics registry and trace buffer (:data:`~repro.observability.metrics.REGISTRY`,
 :data:`~repro.observability.tracing.TRACE`).  This module is the glue
 that makes them behave like one:
@@ -8,19 +9,19 @@ that makes them behave like one:
 * the driver builds an **obs envelope** (:meth:`TelemetryCollector.envelope`)
   — a small picklable dict carrying the tracing flags, sampling rate,
   the driver's current trace context, and an optional spill directory —
-  which rides along with each task chunk;
+  which rides along with each pool task;
 * each worker, via :func:`worker_setup`, resets any state it inherited
   from the driver through ``fork`` (a forked child starts with a *copy*
   of the driver's counters and trace buffer — publishing into that copy
   and shipping it back would double-count everything) and enables
   tracing per the envelope;
-* after a chunk, :func:`worker_telemetry` drains the worker's spans and
+* after a task, :func:`worker_telemetry` drains the worker's spans and
   snapshots-then-resets its registry, producing a **delta** — so the
-  driver-side merge is a plain sum, chunk after chunk;
+  driver-side merge is a plain sum, task after task;
 * the driver absorbs deltas with :meth:`TelemetryCollector.absorb`
   (merging counters/gauges/histograms into its own registry and pooling
   span records), keeping a per-worker breakdown keyed by pid;
-* when the envelope names a ``spill_dir``, workers append each chunk's
+* when the envelope names a ``spill_dir``, workers append each task's
   telemetry as a JSON line to ``worker-<pid>.jsonl`` instead of
   returning it — the file survives a worker that is later killed or
   crashes, and :meth:`TelemetryCollector.absorb_spills` folds whatever
@@ -54,8 +55,8 @@ def worker_setup(obs: Optional[dict[str, Any]]) -> None:
     contextvar — all of which must be discarded before the worker
     publishes anything, or the driver's own numbers come back to it and
     get double-counted on merge.  Idempotent per pid; a no-op in the
-    driver process itself (the serial path publishes directly into the
-    driver registry).
+    driver process itself (a task run in-process publishes directly
+    into the driver registry).
     """
     global _WORKER_PID
     if obs is None:
@@ -78,14 +79,14 @@ def worker_telemetry(obs: Optional[dict[str, Any]]) -> Optional[dict[str, Any]]:
     """Drain this worker's spans and metric deltas into an envelope.
 
     Snapshots the registry *with* histogram reservoirs, then resets it,
-    so successive chunks from the same worker report disjoint deltas and
-    the driver can merge by summing.  In the driver process (serial
-    path) this returns ``None`` and touches nothing — spans and metrics
-    are already where they belong.
+    so successive tasks from the same worker report disjoint deltas and
+    the driver can merge by summing.  In the driver process this returns
+    ``None`` and touches nothing — spans and metrics are already where
+    they belong.
 
     With a ``spill_dir`` in the envelope, the telemetry is appended to
     this worker's JSONL spill file and ``None`` is returned: the file is
-    the transport, robust to the worker being killed before the chunk
+    the transport, robust to the worker being killed before the task
     result would have been pickled back.
     """
     global _SEQ
@@ -193,7 +194,7 @@ class TelemetryCollector:
         self._finished = False
 
     def envelope(self) -> dict[str, Any]:
-        """The picklable obs envelope shipped with each task chunk."""
+        """The picklable obs envelope shipped with each pool task."""
         return {
             "metrics": OBS.enabled,
             "trace": self.trace and _tracing.TRACE.enabled,

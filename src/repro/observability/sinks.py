@@ -20,9 +20,7 @@ Provided sinks:
   document to a path;
 * :class:`EventLogSink` — a line-oriented span stream
   (``<epoch> <start> <name> <dur_ms> [error=<type>]`` per line) to a
-  path or file object.  :func:`parse_event_line` reads both this format
-  and the pre-epoch three-field format (``<start> <name> <dur_ms>``), so
-  old logs stay readable.
+  path or file object, read back by :func:`parse_event_line`.
 
 Exporter functions (no sink object needed):
 
@@ -88,9 +86,8 @@ class EventLogSink:
 
     ``epoch`` (wall-clock seconds) correlates events across processes;
     ``start`` (``perf_counter`` origin) orders them precisely within
-    one.  Failed spans carry a trailing ``error=...`` field.  Lines in
-    the pre-epoch format (``<start> <name> <dur_ms>``) are still parsed
-    by :func:`parse_event_line`.
+    one.  Failed spans carry a trailing ``error=...`` field.
+    :func:`parse_event_line` reads the lines back.
     """
 
     __slots__ = ("_fh", "_own")
@@ -120,27 +117,16 @@ class EventLogSink:
 
 
 def parse_event_line(line: str) -> Optional[dict[str, Any]]:
-    """Parse one span-stream line into a dict, tolerating both formats.
+    """Parse one span-stream line,
+    ``<epoch> <start> <name> <dur_ms> [error=<type>]``, into a dict.
 
-    New format: ``<epoch> <start> <name> <dur_ms> [error=<type>]``.
-    Old format (pre-epoch): ``<start> <name> <dur_ms>`` — parsed with
-    ``epoch=None`` so consumers know wall-clock correlation is
-    unavailable for that line.  Returns ``None`` for blank/unparseable
-    lines rather than raising (log files may be truncated mid-line).
+    Returns ``None`` for blank/unparseable lines rather than raising
+    (log files may be truncated mid-line).
     """
     fields = line.split()
-    if len(fields) < 3:
+    if len(fields) < 4:
         return None
     try:
-        if len(fields) == 3:
-            # old format: start name dur_ms
-            return {
-                "epoch": None,
-                "start": float(fields[0]),
-                "name": fields[1],
-                "dur_ms": float(fields[2]),
-                "status": "ok",
-            }
         out = {
             "epoch": float(fields[0]),
             "start": float(fields[1]),

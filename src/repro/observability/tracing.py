@@ -151,6 +151,10 @@ TRACE = _TraceState()
 _CTX: ContextVar[Optional[TraceContext]] = ContextVar("repro_trace_ctx", default=None)
 
 _rand = random.Random()
+if hasattr(os, "register_at_fork"):
+    # forked pool workers would otherwise all replay the parent's id
+    # sequence, and their spans would collide within one trace
+    os.register_at_fork(after_in_child=_rand.seed)
 
 
 def _new_trace_id() -> str:
@@ -270,7 +274,7 @@ class remote_context:
     """Adopt a propagated context for the duration of a ``with`` block.
 
     Used on the far side of a process boundary: the batch worker wraps
-    each task chunk in ``remote_context(envelope["trace"], resample=True)``
+    each pair task in ``remote_context(envelope["trace"], resample=True)``
     so its spans join the driver's trace as independently-sampled pair
     subtrees.  ``ctx=None`` is a no-op (the driver ran without tracing).
     """

@@ -9,8 +9,9 @@ submit sources once, then address them by fingerprint.
 
 * :mod:`repro.server.store` — the content-addressed store (parse once,
   LRU-bounded, atomic-patch mutation semantics);
-* :mod:`repro.server.pool` — worker-process pool for heavy diffs,
-  reusing the batch layer's obs-envelope + telemetry-delta machinery;
+* :mod:`repro.server.pool` — the diff and apply tasks the daemon runs
+  on :class:`repro.pool.DiffPool`, the worker pool ``repro batch``
+  shares;
 * :mod:`repro.server.service` — the transport-independent operation
   table (one ``repro.server.request`` trace per request);
 * :mod:`repro.server.httpd` / :mod:`repro.server.stdio` — the HTTP and

@@ -1,17 +1,18 @@
-"""Worker-process pool for heavy diff requests.
+"""Pool tasks for the daemon's heavy diff and apply requests.
 
 The daemon's request handlers are I/O-bound glue; the diff itself is the
-CPU-heavy part.  This module shards it across a ``ProcessPoolExecutor``
-reusing the batch layer's cross-process machinery wholesale: every task
-carries the obs **envelope** built by a
+CPU-heavy part.  The daemon shards it across :class:`repro.pool.DiffPool`
+(re-exported here), the same pool ``repro batch`` runs its pairs on:
+every task carries the obs **envelope** built by a
 :class:`~repro.observability.aggregate.TelemetryCollector`, workers
 reset fork-inherited state through
 :func:`~repro.observability.aggregate.worker_setup`, adopt the request's
 trace context as a resample point (so a request stays ONE causal trace
 even when its diff ran in another process), and ship their span/metric
 deltas back via :func:`~repro.observability.aggregate.worker_telemetry`
-for the driver-side merge — which is what makes the daemon's
-``/metrics`` endpoint cover the whole pool.
+for the daemon-side merge — which is what makes the daemon's
+``/metrics`` endpoint cover the whole pool.  With ``--workers 1`` the
+pool is one worker process.
 
 Workers keep a process-local cache of parsed trees keyed by the store
 fingerprint (``repro.server.worker.tree_hits`` / ``.parses``), so a hot
@@ -30,6 +31,7 @@ from typing import Any, Optional
 
 from repro.core import TNode
 from repro.observability import OBS, metrics as _metrics, span as _span
+from repro.pool import DiffPool  # noqa: F401 - the daemon's name for the pool
 
 
 def diff_trees(src: TNode, dst: TNode) -> dict[str, Any]:
@@ -68,53 +70,6 @@ _WORKER_TREES: dict[str, TNode] = {}
 _WORKER_TREES_MAX = 256
 
 
-def _worker_init() -> None:
-    """Pool-worker initializer: shed fork-inherited daemon state.
-
-    Two hazards, both from the ``fork`` start method:
-
-    * **Signal state.**  The daemon's asyncio loop registers
-      SIGTERM/SIGINT via ``add_signal_handler``, which installs a noop
-      C-level handler plus a self-pipe wakeup fd — and a forked worker
-      inherits both.  Left in place, a SIGTERM aimed at the *worker*
-      (e.g. by ``ProcessPoolExecutor``'s own ``terminate_broken``)
-      (a) does not kill it, leaving an immortal child that 3.11's
-      ``shutdown_workers`` busy-spins on forever, and (b) is *relayed
-      to the daemon*: the worker's handler writes the signal byte into
-      the shared wakeup socketpair, the daemon's loop reads it and runs
-      its own SIGTERM callback — a graceful shutdown nobody asked for.
-      Restoring the default dispositions and detaching the wakeup fd
-      makes a worker signal mean exactly what the sender intended.
-
-    * **Parent death.**  A SIGKILL'd daemon cannot shut its pool down,
-      and forked workers inherit every parent fd — including the
-      ``flock`` on a durable store's data dir — so an orphaned worker
-      blocked on the call queue would hold the lock forever and wedge
-      the *next* daemon's startup.  A tiny daemon thread watches for
-      re-parenting (``getppid`` changes once the real parent is gone)
-      and hard-exits the worker.
-    """
-    import os
-    import signal
-    import threading
-
-    try:
-        signal.set_wakeup_fd(-1)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-    except (ValueError, OSError):
-        pass  # non-main thread or exotic platform: keep what we have
-
-    parent = os.getppid()
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.5)
-        os._exit(2)
-
-    threading.Thread(target=watch, name="repro-parent-watchdog", daemon=True).start()
-
-
 def _worker_tree(spec: dict[str, Any]) -> TNode:
     """Resolve one tree spec ``{"fingerprint", "source", "filename"}`` in
     the worker, via the process-local cache."""
@@ -141,9 +96,9 @@ def pool_diff_task(
 ) -> dict[str, Any]:
     """Top-level (picklable) pool task: one diff request in a worker.
 
-    Returns ``{"result": ..., "telemetry": ...}`` — the same two-part
-    shape as :func:`repro.batch.worker.run_chunk`'s instrumented mode,
-    absorbed by the daemon's collector.  Never raises: a failing diff
+    Returns ``{"result": ..., "telemetry": ...}``, the two-part shape
+    every :class:`~repro.pool.DiffPool` task returns, absorbed by the
+    daemon's collector.  Never raises: a failing diff
     becomes ``result={"ok": False, ...}`` so one bad request cannot
     poison the worker or the pool.
     """
@@ -241,142 +196,3 @@ def pool_apply_task(
                 }
                 sp.set_status("error", type(exc).__name__)
     return {"result": result, "telemetry": worker_telemetry(obs_env)}
-
-
-class DiffPool:
-    """A ``ProcessPoolExecutor`` carrying the obs envelope on every task.
-
-    ``submit`` returns the executor's future (awaitable via
-    ``asyncio.wrap_future``); :meth:`finish` normalizes the two-part
-    result, absorbing worker telemetry into ``collector`` so the daemon
-    registry stays the single pane of glass.  A broken pool (a worker
-    died mid-request) is rebuilt transparently; the in-flight request
-    gets a structured error instead of a hung future.
-    """
-
-    def __init__(self, workers: int, collector=None) -> None:
-        import threading
-        from concurrent.futures import ProcessPoolExecutor
-
-        if workers < 1:
-            raise ValueError(f"pool needs >= 1 worker, got {workers}")
-        self.workers = workers
-        self.collector = collector
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init
-        )
-        self._rebuild_lock = threading.Lock()
-        self._closed = False
-
-    def submit(self, payload: dict[str, Any], task=None):
-        """Submit ``payload`` to a worker; ``task`` picks the (picklable)
-        task function, defaulting to :func:`pool_diff_task`."""
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        task_fn = task if task is not None else pool_diff_task
-        obs_env = self.collector.envelope() if self.collector is not None else None
-        for _attempt in range(2):
-            executor = self._executor
-            try:
-                future = executor.submit(task_fn, payload, obs_env)
-            except (BrokenProcessPool, RuntimeError):
-                # the pool broke (or closed) before this request entered
-                # it; rebuild once and retry on the fresh executor
-                self._rebuild(executor)
-                continue
-            # remember which executor generation answered this submit so a
-            # burst of concurrent failures rebuilds the pool exactly once
-            future.repro_pool_executor = executor
-            return future
-        # still broken: hand finish() a pre-failed future so the caller
-        # gets the same structured unavailable answer, never a raw raise
-        future = Future()
-        future.repro_pool_executor = self._executor
-        future.set_exception(BrokenProcessPool("process pool unavailable"))
-        return future
-
-    def finish(self, future, timeout_s: Optional[float] = None) -> dict[str, Any]:
-        """Resolve one submitted future into its ``result`` dict.
-
-        With ``timeout_s``, a worker that has not answered by the
-        deadline is treated as wedged: every pool process is killed, the
-        pool is rebuilt, and the request gets a structured ``Timeout``
-        error (the service maps it to 503) instead of waiting forever.
-        """
-        from concurrent.futures import CancelledError
-        from concurrent.futures import TimeoutError as FutureTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        submitted_to = getattr(future, "repro_pool_executor", None)
-        try:
-            out = future.result(timeout=timeout_s)
-        except FutureTimeout:
-            if OBS.enabled:
-                _metrics().counter("repro.server.pool.timeouts").inc()
-            self._kill_workers(submitted_to)
-            self._rebuild(submitted_to)
-            return {
-                "ok": False,
-                "error": (
-                    f"diff exceeded its {timeout_s:g}s deadline "
-                    "(worker killed, pool rebuilt)"
-                ),
-                "error_type": "Timeout",
-            }
-        except BrokenProcessPool:
-            self._rebuild(submitted_to)
-            return {
-                "ok": False,
-                "error": "diff worker died (process pool rebuilt)",
-                "error_type": "BrokenProcessPool",
-            }
-        except CancelledError:
-            # our own rebuild cancelled this queued task; same structured
-            # answer as the broken pool that caused the rebuild
-            return {
-                "ok": False,
-                "error": "diff cancelled while the process pool was rebuilt",
-                "error_type": "BrokenProcessPool",
-            }
-        if self.collector is not None:
-            self.collector.absorb(out.get("telemetry"))
-        return out["result"]
-
-    def _kill_workers(self, executor=None) -> None:
-        """SIGKILL every live pool process (the wedged one included) —
-        ``shutdown`` alone would join a worker stuck in C code forever."""
-        for proc in list(getattr(executor or self._executor, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except (OSError, AttributeError, ValueError):
-                pass
-
-    def _rebuild(self, broken=None) -> None:
-        """Replace the executor — once per broken generation, however
-        many concurrent requests observed the same failure."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        with self._rebuild_lock:
-            if broken is not None and broken is not self._executor:
-                return  # another request already swapped this generation out
-            if OBS.enabled:
-                _metrics().counter("repro.server.pool.rebuilds").inc()
-            # SIGKILL the generation's remaining workers before shutdown.
-            # CPython 3.11's terminate_broken() only SIGTERMs them and (on
-            # POSIX, gh-107219) never closes the call-queue writer, so a
-            # feeder thread stuck in send_bytes() keeps the queue full and
-            # shutdown_workers() busy-spins on put_nowait() for as long as
-            # any child is alive — a 100%-CPU wedge that starves the whole
-            # daemon.  Killing the workers drops get_n_children_alive() to
-            # zero (ending the spin) and EPIPEs the feeder loose.
-            self._kill_workers(self._executor)
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            if not self._closed:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers, initializer=_worker_init
-                )
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._closed = True
-        self._executor.shutdown(wait=wait, cancel_futures=not wait)

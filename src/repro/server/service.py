@@ -40,7 +40,7 @@ from repro.observability import (
     take_spans,
 )
 
-from .pool import DiffPool, diff_trees
+from .pool import DiffPool, diff_trees, pool_diff_task
 from .store import StoredTree, StoreError, TreeStore, UnknownFingerprint
 
 #: Upper bound on scripts per ``/apply-batch`` request.
@@ -247,7 +247,9 @@ class ReproService:
                 "filename": after.filename,
             },
         }
-        result = self.pool.finish(self.pool.submit(payload), self.op_timeout_s)
+        result = self.pool.finish(
+            self.pool.submit(payload, pool_diff_task), self.op_timeout_s
+        )
         if not result.get("ok"):
             code = (
                 "unavailable"

@@ -1,15 +1,16 @@
 """Tests for the parallel batch-diff driver (``repro.batch``).
 
 The fault-isolation machinery is exercised with injectable pair
-functions (picklable top-level callables): a sleeper for the timeout
-fence, a hard ``os._exit`` for worker death / broken-pool recovery, and
-a marker-file flake for the bounded-retry path.
+functions (picklable top-level callables): a sleeper for the per-pair
+deadline, a hard ``os._exit`` for worker death / broken-pool recovery,
+and a marker-file flake for the bounded-retry path.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import time
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from repro.batch import (
     discover_pairs,
     read_pairs_file,
     run_batch,
-    run_chunk,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "batch"
@@ -63,13 +63,25 @@ def exiting_fn(before: str, after: str) -> dict:
 
 
 def flaky_fn(before: str, after: str) -> dict:
-    """Times out once, then succeeds: ``after`` names a marker file."""
-    from repro.batch.worker import PairTimeout
-
+    """Outlives the deadline once, then succeeds: ``after`` names a
+    marker file."""
     if not os.path.exists(after):
         with open(after, "w", encoding="utf8") as fh:
             fh.write("attempted\n")
-        raise PairTimeout("simulated transient failure")
+        time.sleep(10)
+    return _ok_row(before, after)
+
+
+def raising_fn(before: str, after: str) -> dict:
+    if "boom" in before:
+        raise RuntimeError("pair exploded")
+    return _ok_row(before, after)
+
+
+def alarm_masking_fn(before: str, after: str) -> dict:
+    """Blocks SIGALRM, then runs past any short deadline."""
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+    time.sleep(4)
     return _ok_row(before, after)
 
 
@@ -149,15 +161,6 @@ class TestDiffPair:
         row = diff_pair("/nonexistent/a.py", "/nonexistent/b.py")
         assert row["status"] == "error"
         assert row["error_kind"] == "io"
-
-    def test_run_chunk_fences_each_pair(self):
-        rows = run_chunk(
-            [
-                (os.path.join(BEFORE, "poison.py"), os.path.join(AFTER, "poison.py")),
-                (os.path.join(BEFORE, "simple.py"), os.path.join(AFTER, "simple.py")),
-            ]
-        )
-        assert [r["status"] for r in rows] == ["error", "ok"]
 
 
 # -- graceful degradation: replace-root fallback on internal errors -------
@@ -298,7 +301,7 @@ class TestRunBatch:
         rows: list[dict] = []
         summary = run_batch(
             [("flaky.py", marker)],
-            BatchConfig(workers=1, timeout_s=5.0, retries=1),
+            BatchConfig(workers=1, timeout_s=0.5, retries=1),
             emit=rows.append,
             pair_fn=flaky_fn,
         )
@@ -306,11 +309,64 @@ class TestRunBatch:
         assert summary.retried == 1
         assert rows[0]["status"] == "ok" and rows[0]["attempts"] == 2
 
+    @pytest.mark.skipif(
+        not hasattr(signal, "pthread_sigmask"), reason="needs POSIX signal masks"
+    )
+    def test_pair_masking_sigalrm_still_stops_at_deadline(self):
+        """The deadline is enforced from the driver by killing the
+        worker, so a pair cannot escape it by masking signals."""
+        rows: list[dict] = []
+        started = time.monotonic()
+        run_batch(
+            [("masked.py", "x.py")],
+            BatchConfig(workers=1, timeout_s=0.5, retries=0),
+            emit=rows.append,
+            pair_fn=alarm_masking_fn,
+        )
+        assert time.monotonic() - started < 3
+        assert rows[0]["error_kind"] == "timeout"
+
+    def test_pair_errors_become_failure_rows(self):
+        rows: list[dict] = []
+        summary = run_batch(
+            [("boom.py", "x.py"), ("ok.py", "y.py")],
+            BatchConfig(workers=1, retries=1),
+            emit=rows.append,
+            pair_fn=raising_fn,
+        )
+        assert summary.ok == 1 and summary.failures_by_kind == {"internal": 1}
+        boom = next(r for r in rows if r["before"] == "boom.py")
+        assert boom["error"] == "pair exploded" and boom["attempts"] == 1
+
+    def test_timeout_enforced_off_main_thread(self):
+        """The deadline needs no signal, so a caller driving the batch
+        from another thread (an executor thread of a server) keeps it."""
+        import threading
+
+        rows: list[dict] = []
+
+        def run() -> None:
+            run_batch(
+                [("slow-before", "slow-after")],
+                BatchConfig(workers=1, timeout_s=0.2, retries=0),
+                emit=rows.append,
+                pair_fn=sleepy_fn,
+            )
+
+        t = threading.Thread(target=run)
+        started = time.monotonic()
+        t.start()
+        t.join(30)
+        assert not t.is_alive(), "off-main-thread batch never returned"
+        assert time.monotonic() - started < 8
+        (row,) = rows
+        assert row["status"] == "error" and row["error_kind"] == "timeout"
+
     def test_worker_death_breaks_pool_but_not_run(self):
         rows: list[dict] = []
         summary = run_batch(
             [("die.py", "x.py"), ("ok1.py", "y.py"), ("ok2.py", "z.py")],
-            BatchConfig(workers=2, timeout_s=20.0, retries=1, chunksize=1),
+            BatchConfig(workers=2, timeout_s=20.0, retries=1),
             emit=rows.append,
             pair_fn=exiting_fn,
         )
@@ -325,6 +381,28 @@ class TestRunBatch:
             "ok1.py": "ok",
             "ok2.py": "ok",
         }
+
+    def test_run_loads_no_daemon_modules(self):
+        """The pool lives outside ``repro.server``: a batch run, and every
+        worker it forks, loads none of the daemon's asyncio/HTTP stack."""
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.batch import BatchConfig, discover_pairs, run_batch\n"
+            f"pairs, _, _ = discover_pairs({BEFORE!r}, {AFTER!r})\n"
+            "assert run_batch(pairs, BatchConfig(workers=2)).ok == 3\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.server')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_metrics_counters(self):
         from repro import observability as obs
@@ -406,6 +484,14 @@ class TestBatchCLI:
         err = capsys.readouterr().err
         assert err.startswith("repro: ") and "not a directory" in err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--workers", "-3"), ("--retries", "-1"), ("--timeout", "-5")]
+    )
+    def test_negative_numbers_are_cli_errors(self, flag, value, capsys):
+        code = main(["batch", BEFORE, AFTER, flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"repro: {flag}: must be >= 0, got {value}\n"
+
     def test_bad_pairs_file_is_cli_error(self, tmp_path, capsys):
         listing = tmp_path / "pairs.txt"
         listing.write_text("one-path-only\n", encoding="utf8")
@@ -448,67 +534,3 @@ class TestBatchCLI:
         snap = json.loads(payload)
         assert snap["counters"]["repro.batch.pairs"] == 4
         assert snap["counters"]["repro.batch.failures"] == 1
-
-
-# -- per-pair deadlines off the POSIX main thread -------------------------
-
-
-class TestOffMainThreadFence:
-    """The SIGALRM fence only works on the process's main thread; off it
-    (a server driving ``run_chunk`` from an executor thread) the budget
-    used to be silently skipped, letting a pathological pair run
-    unbounded.  Those callers now get the wall-clock thread guard."""
-
-    def test_fence_selection(self):
-        import threading
-
-        from repro.batch import worker as w
-
-        assert w._pick_fence(None) is None
-        assert w._pick_fence(0) is None
-        assert w._pick_fence(-1) is None
-        # pytest runs tests on the POSIX main thread: the cheap alarm
-        assert w._pick_fence(1.0) == "alarm"
-        seen: dict = {}
-        t = threading.Thread(
-            target=lambda: seen.update(fence=w._pick_fence(1.0))
-        )
-        t.start()
-        t.join(10)
-        assert seen["fence"] == "thread"
-
-    def test_timeout_enforced_off_main_thread(self):
-        import threading
-
-        out: dict = {}
-
-        def run() -> None:
-            out["rows"] = run_chunk(
-                [("slow-before", "slow-after")], timeout_s=0.2, pair_fn=sleepy_fn
-            )
-
-        t = threading.Thread(target=run)
-        started = time.time()
-        t.start()
-        t.join(30)
-        assert not t.is_alive(), "off-main-thread chunk never returned"
-        # the budget was enforced, not skipped: the 10s sleeper was cut
-        # off at ~0.2s and reported as a structured timeout row
-        assert time.time() - started < 8
-        (row,) = out["rows"]
-        assert row["status"] == "error"
-        assert row["error_kind"] == "timeout"
-        assert "wall-clock guard" in row["error"]
-
-    def test_thread_guard_propagates_pair_errors(self):
-        import threading
-
-        from repro.batch.worker import _call_with_thread_guard
-
-        def boom(before: str, after: str) -> dict:
-            raise RuntimeError("pair exploded")
-
-        with pytest.raises(RuntimeError, match="pair exploded"):
-            _call_with_thread_guard(boom, "b", "a", 5.0)
-        # and a well-behaved pair's row comes back intact
-        assert _call_with_thread_guard(_ok_row, "b", "a", 5.0)["status"] == "ok"

@@ -27,6 +27,7 @@ from repro.server import (
     UnknownFingerprint,
     diff_trees,
     frame_record,
+    pool_diff_task,
     read_segment,
 )
 from repro.server.durable import RECORD_HEADER
@@ -571,7 +572,7 @@ class TestPoolDeadline:
                 "before": {"fingerprint": "b" * 64, "source": BEFORE},
                 "after": {"fingerprint": "a" * 64, "source": AFTER},
             }
-            result = pool.finish(pool.submit(payload), timeout_s=60)
+            result = pool.finish(pool.submit(payload, pool_diff_task), timeout_s=60)
             assert result["ok"] is True and result["edits"] >= 1
         finally:
             pool.shutdown()
@@ -583,7 +584,7 @@ class TestPoolDeadline:
                 "before": {"fingerprint": "b" * 64, "source": BEFORE},
                 "after": {"fingerprint": "a" * 64, "source": AFTER},
             }
-            result = pool.finish(pool.submit(payload))
+            result = pool.finish(pool.submit(payload, pool_diff_task))
             assert result["ok"] is True
         finally:
             pool.shutdown()

@@ -19,7 +19,8 @@ import pytest
 
 from repro import observability as obs
 from repro.__main__ import main
-from repro.batch import BatchConfig, discover_pairs, run_batch, run_chunk
+from repro.batch import BatchConfig, discover_pairs, run_batch
+from repro.batch.worker import pair_task
 from repro.observability.aggregate import TelemetryCollector, read_spill_dir
 
 FIXTURES = Path(__file__).parent / "fixtures" / "batch"
@@ -87,44 +88,26 @@ def _rows_sum(per_worker: dict, counter: str) -> int:
     return sum(s["counters"].get(counter, 0) for s in per_worker.values())
 
 
-# -- run_chunk envelope contract ------------------------------------------
+# -- pair task envelope contract ------------------------------------------
 
 
-class TestRunChunkEnvelope:
-    def test_plain_call_returns_row_list(self):
-        """Back-compat: no envelope, no wrapper — existing callers see
-        the original shape."""
-        rows = run_chunk([(f"{BEFORE}/simple.py", f"{AFTER}/simple.py")])
-        assert isinstance(rows, list)
-        assert rows[0]["status"] == "ok"
-
-    def test_envelope_call_returns_rows_and_telemetry_key(self):
+class TestPairTaskEnvelope:
+    def test_envelope_call_returns_row_and_telemetry_key(self):
         obs.enable_tracing()
         collector = TelemetryCollector(trace=True)
-        result = run_chunk(
-            [(f"{BEFORE}/simple.py", f"{AFTER}/simple.py")],
-            obs=collector.envelope(),
+        result = pair_task(
+            {
+                "before": f"{BEFORE}/simple.py",
+                "after": f"{AFTER}/simple.py",
+                "pair_fn": None,
+            },
+            collector.envelope(),
         )
-        assert isinstance(result, dict)
-        assert result["rows"][0]["status"] == "ok"
+        assert result["result"]["status"] == "ok"
         # in-process (driver pid): no delta envelope, spans stay local
         assert result["telemetry"] is None
         names = {r["name"] for r in obs.take_spans()}
         assert "repro.batch.pair" in names
-
-    def test_pair_span_records_failure_outcome(self):
-        obs.enable_tracing()
-        collector = TelemetryCollector(trace=True)
-        run_chunk(
-            [(f"{BEFORE}/poison.py", f"{AFTER}/poison.py")],
-            obs=collector.envelope(),
-        )
-        pair = next(
-            r for r in obs.take_spans() if r["name"] == "repro.batch.pair"
-        )
-        assert pair["status"] == "error"
-        assert pair["error_type"] == "syntax"
-        assert pair["attrs"]["status"] == "error"
 
 
 # -- the aggregation invariant --------------------------------------------
@@ -137,7 +120,7 @@ class TestMergedCountersEqualWorkerSums:
         collector = TelemetryCollector(trace=True)
         summary = run_batch(
             pairs,
-            BatchConfig(workers=2, timeout_s=5.0, chunksize=3),
+            BatchConfig(workers=2, timeout_s=5.0),
             pair_fn=counting_fn,
             collector=collector,
         )
@@ -154,20 +137,20 @@ class TestMergedCountersEqualWorkerSums:
         collector = TelemetryCollector(trace=True)
         summary = run_batch(
             pairs,
-            BatchConfig(workers=2, timeout_s=0.3, retries=0, chunksize=2),
+            BatchConfig(workers=2, timeout_s=0.3, retries=0),
             pair_fn=slow_counting_fn,
             collector=collector,
         )
         assert summary.ok == 4
         assert summary.failures_by_kind.get("timeout") == 1
         merged = obs.snapshot()["counters"]
-        # the timed-out pair never reached its counter bump; every row
-        # (including the failure row) is counted by the worker
+        # the timed-out pair never reached its counter bump, and its
+        # killed worker never wrote a row: the driver wrote the timeout
         assert merged["t.pairs_seen"] == 4
         assert merged["t.pairs_seen"] == _rows_sum(
             summary.per_worker, "t.pairs_seen"
         )
-        assert _rows_sum(summary.per_worker, "repro.batch.worker.rows") == 5
+        assert _rows_sum(summary.per_worker, "repro.batch.worker.rows") == 4
 
     def test_broken_pool_recovery_stays_consistent(self, tmp_path):
         obs.enable_tracing()
@@ -178,7 +161,7 @@ class TestMergedCountersEqualWorkerSums:
         collector = TelemetryCollector(trace=True, spill_dir=str(spill))
         summary = run_batch(
             pairs,
-            BatchConfig(workers=2, timeout_s=5.0, retries=1, chunksize=2),
+            BatchConfig(workers=2, timeout_s=5.0, retries=1),
             pair_fn=dying_counting_fn,
             collector=collector,
         )
@@ -186,23 +169,25 @@ class TestMergedCountersEqualWorkerSums:
         assert summary.failed == 1
         assert summary.failures_by_kind == {"crash": 1}
         merged = obs.snapshot()["counters"]
-        # a killed worker loses at most its in-flight chunk's counts;
+        # a killed worker loses at most its in-flight pairs' counts;
         # whatever was spilled or returned must agree on both sides
         assert merged["t.pairs_seen"] == _rows_sum(
             summary.per_worker, "t.pairs_seen"
         )
         assert merged["t.pairs_seen"] >= 6  # every ok row was counted
 
-    def test_serial_run_publishes_directly(self):
+    def test_one_worker_pool_ships_worker_telemetry(self):
         obs.enable_tracing()
         pairs = [(f"p{i}.py", f"q{i}.py") for i in range(3)]
+        collector = TelemetryCollector(trace=True)
         summary = run_batch(
-            pairs, BatchConfig(workers=1), pair_fn=counting_fn
+            pairs, BatchConfig(workers=1), pair_fn=counting_fn, collector=collector
         )
         assert summary.ok == 3
         assert obs.snapshot()["counters"]["t.pairs_seen"] == 3
-        assert summary.per_worker == {}  # no pool, no worker deltas
-        names = [r["name"] for r in obs.take_spans()]
+        assert len(summary.per_worker) == 1  # one worker process
+        assert _rows_sum(summary.per_worker, "t.pairs_seen") == 3
+        names = [r["name"] for r in collector.finish()]
         assert names.count("repro.batch.pair") == 3
         assert "repro.batch.run" in names
 
@@ -220,6 +205,7 @@ class TestCausalTraceAcrossPool:
         spans = collector.finish()
         pids = {r["pid"] for r in spans}
         assert len(pids) >= 2  # driver + at least one pool worker
+        assert len({r["span_id"] for r in spans}) == len(spans)
         run_span = next(r for r in spans if r["name"] == "repro.batch.run")
         pair_spans = [r for r in spans if r["name"] == "repro.batch.pair"]
         assert pair_spans
@@ -235,6 +221,21 @@ class TestCausalTraceAcrossPool:
         assert passes
         for p in passes:
             assert p["parent_id"] in diff_ids | pair_ids
+
+    def test_pair_span_records_failure_outcome(self):
+        obs.enable_tracing()
+        collector = TelemetryCollector(trace=True)
+        run_batch(
+            [(f"{BEFORE}/poison.py", f"{AFTER}/poison.py")],
+            BatchConfig(workers=1),
+            collector=collector,
+        )
+        pair = next(
+            r for r in collector.finish() if r["name"] == "repro.batch.pair"
+        )
+        assert pair["status"] == "error"
+        assert pair["error_type"] == "syntax"
+        assert pair["attrs"]["status"] == "error"
 
     def test_spill_files_survive_and_merge(self, tmp_path):
         obs.enable_tracing()

@@ -429,10 +429,8 @@ class TestEventLogFormats:
         assert rec["status"] == "ValueError"
 
     def test_parse_old_format(self):
-        rec = obs.parse_event_line("12.500000 repro.diff 3.250")
-        assert rec["epoch"] is None
-        assert rec["start"] == 12.5
-        assert rec["name"] == "repro.diff"
+        # the pre-epoch three-field format is no longer written or read
+        assert obs.parse_event_line("12.500000 repro.diff 3.250") is None
 
     def test_parse_garbage_is_none(self):
         assert obs.parse_event_line("") is None
