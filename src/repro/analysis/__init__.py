@@ -22,16 +22,17 @@ Layers, bottom up:
   precise merge precheck :func:`repro.core.merge_scripts` uses);
 * :mod:`~repro.analysis.linter` — :func:`lint_script`, the orchestrating
   entry point behind ``repro lint``;
-* :mod:`~repro.analysis.campaign` — the CI campaign linting corrupted
-  scripts and gating on per-corruption-class detection;
+* :mod:`~repro.analysis.campaign` — the ``lint`` suite of
+  :mod:`repro.campaign`, linting corrupted scripts and gating on
+  per-corruption-class detection;
 * :mod:`~repro.analysis.race` — truerace: the read/write effect system,
   pairwise interference analysis (stable ``TR0xx`` codes), wave
-  scheduling for concurrent application, and its own differential CI
-  campaign (:mod:`~repro.analysis.race.campaign`).
+  scheduling for concurrent application, and its differential ``race``
+  suite (:mod:`~repro.analysis.race.campaign`).
 """
 
 from .abstract import AbstractResult, interpret
-from .commute import Footprint, commute_conflicts, commutes, script_footprint
+from .commute import commute_conflicts, commutes
 from .diagnostics import (
     CODES,
     Diagnostic,
@@ -79,7 +80,6 @@ __all__ = [
     "EffectSet",
     "FIXABLE_CODES",
     "Fix",
-    "Footprint",
     "RACE_CODES",
     "RaceConflict",
     "RaceReport",
@@ -111,5 +111,4 @@ __all__ = [
     "run_rules",
     "schedule",
     "script_effects",
-    "script_footprint",
 ]

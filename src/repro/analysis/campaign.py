@@ -1,201 +1,111 @@
-"""The truelint CI campaign: lint corrupted scripts, gate on detection.
+"""The ``lint`` suite of :mod:`repro.campaign`: lint corrupted scripts,
+gate on detection.
 
-The fault-injection harness (:mod:`repro.robustness.harness`) proves the
-*runtime* defences catch corrupted scripts; this campaign proves the
+The ``fault`` suite (:mod:`repro.robustness.harness`) proves the
+*runtime* defences catch corrupted scripts; this suite proves the
 *static* analyzer catches them **before any tree is touched**.  For every
 corpus case it:
 
 1. diffs the (source, target) pair and asserts the truediff-emitted
    script lints **clean** — zero findings.  Any finding on a valid script
-   is a false positive and fails the campaign;
+   is a false positive and fails the check;
 2. applies every seeded corruption kind from
    :data:`~repro.robustness.faults.CORRUPTION_KINDS` and lints the
-   corrupted script from the scripts-only view (no tree).  The campaign
-   requires every corruption *class* to be flagged at least once across
-   its samples — some individual corruptions are statically invisible
-   (dropping a lone ``Update`` leaves a well-typed script), which is why
-   the gate is per class, not per sample;
+   corrupted script from the scripts-only view (no tree).  The last
+   check, ``coverage``, requires every corruption *class* to be flagged
+   at least once across its samples — some individual corruptions are
+   statically invisible (dropping a lone ``Update`` leaves a well-typed
+   script), which is why the gate is per class, not per sample;
 3. minimizes the valid script and re-validates equivalence with the
    differential oracle (:func:`~repro.analysis.minimize.patch_equivalent`)
    against the concrete source tree.
 
-Findings over the corrupted corpus are written as SARIF for the CI
-artifact.  Run as the CI lint job does::
+Findings over the corrupted corpus become the suite's SARIF artifact::
 
-    PYTHONPATH=src python -m repro.analysis.campaign \\
-        --seed 20260806 --out lint.sarif
+    PYTHONPATH=src python -m repro.campaign lint --seed 20260806
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import random
-import sys
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from pathlib import Path
+from typing import Any, Iterator
 
 from repro.core import diff, tnode_to_mtree
-from repro.robustness.faults import CORRUPTION_KINDS, corrupt_script
-from repro.robustness.harness import corpus_cases
+from repro.robustness.faults import CORRUPTION_KINDS, seeded_corruptions
 
-from .diagnostics import LintReport, render_sarif
+from .diagnostics import render_sarif  # renders the rows' reports as SARIF
 from .linter import lint_script
 from .minimize import minimize, patch_equivalent
 
-
-@dataclass
-class LintCampaignConfig:
-    seed: int = 0
-    cases: int = 8
-    #: corrupted scripts per (case, corruption kind)
-    per_kind: int = 4
+#: document pairs
+CASES = 8
+#: corrupted scripts per (case, corruption kind)
+PER_KIND = 4
 
 
-@dataclass
-class LintCampaignSummary:
-    scripts: int = 0
-    corrupted: int = 0
-    #: corrupted scripts with at least one finding, per corruption kind
-    flagged_by_kind: dict[str, int] = field(default_factory=dict)
-    #: corrupted scripts with no findings, per kind (statically invisible)
-    missed_by_kind: dict[str, int] = field(default_factory=dict)
-    #: findings on *valid* scripts — must stay empty
-    false_positives: list[str] = field(default_factory=list)
-    #: minimality oracle divergences — must stay empty
-    oracle_failures: list[str] = field(default_factory=list)
-    #: corruption kinds never flagged across all samples — must stay empty
-    unflagged_kinds: list[str] = field(default_factory=list)
+def checks(seed: int, workdir: Path) -> Iterator[dict[str, Any]]:
+    """Per case a ``valid``, one ``corrupt:<kind>`` per corrupted script
+    and a ``minimize`` row; then the ``coverage`` row."""
+    from repro.adapters.pyast import parse_python
+    from repro.corpus import seeded_cases
 
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.false_positives or self.oracle_failures or self.unflagged_kinds
-        )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "scripts": self.scripts,
-            "corrupted": self.corrupted,
-            "flagged_by_kind": dict(self.flagged_by_kind),
-            "missed_by_kind": dict(self.missed_by_kind),
-            "false_positives": list(self.false_positives),
-            "oracle_failures": list(self.oracle_failures),
-            "unflagged_kinds": list(self.unflagged_kinds),
-            "ok": self.ok,
-        }
-
-
-def run_lint_campaign(
-    config: LintCampaignConfig,
-) -> tuple[LintCampaignSummary, list[LintReport]]:
-    """Run the campaign; returns the summary plus the per-corrupted-script
-    lint reports (for the SARIF artifact)."""
-    summary = LintCampaignSummary()
-    reports: list[LintReport] = []
-
-    for case_i, (src, dst, sigs) in enumerate(
-        corpus_cases(config.cases, config.seed)
-    ):
+    flagged = dict.fromkeys(CORRUPTION_KINDS, 0)
+    missed = dict.fromkeys(CORRUPTION_KINDS, 0)
+    # parse every case before diffing any, as the fault suite does
+    cases = [
+        (parse_python(before), parse_python(after))
+        for before, (after,) in seeded_cases(seed, CASES)
+    ]
+    for case_i, (src, dst) in enumerate(cases):
+        sigs = src.sigs
         script, _ = diff(src, dst)
-        summary.scripts += 1
 
         # 1. valid scripts must be lint-clean: zero false positives
         clean = lint_script(script, sigs, uri=f"case{case_i}/valid")
-        for d in clean.diagnostics:
-            summary.false_positives.append(f"case {case_i}: {d}")
+        yield {
+            "check": "valid",
+            "case": case_i,
+            "problems": [f"false positive: {d}" for d in clean.diagnostics],
+        }
 
         # 2. corrupted scripts, linted with no tree in hand
-        for kind_i, kind in enumerate(CORRUPTION_KINDS):
-            for rep in range(config.per_kind):
-                rng = random.Random(
-                    ((config.seed * 1_000_003 + case_i) * 31 + kind_i) * 101 + rep
-                )
-                corruption = corrupt_script(script, rng, kind)
-                report = lint_script(
-                    corruption.script,
-                    sigs,
-                    uri=f"case{case_i}/corrupt-{kind}-{rep}",
-                )
-                summary.corrupted += 1
-                bucket = (
-                    summary.flagged_by_kind
-                    if report.diagnostics
-                    else summary.missed_by_kind
-                )
-                bucket[kind] = bucket.get(kind, 0) + 1
-                if report.diagnostics:
-                    reports.append(report)
+        for rep, corruption in seeded_corruptions(script, seed, case_i, PER_KIND):
+            kind = corruption.kind
+            report = lint_script(
+                corruption.script, sigs, uri=f"case{case_i}/corrupt-{kind}-{rep}"
+            )
+            row: dict[str, Any] = {
+                "check": f"corrupt:{kind}",
+                "case": case_i,
+                "detail": corruption.detail,
+                "findings": len(report.diagnostics),
+                "problems": [],
+            }
+            if report.diagnostics:
+                flagged[kind] += 1
+                row["report"] = report
+            else:
+                missed[kind] += 1
+            yield row
 
         # 3. minimality: the normal form must patch-agree with the original
         minimized = minimize(script)
         divergence = patch_equivalent(
             script, minimized.script, [tnode_to_mtree(src)], sigs
         )
-        if divergence is not None:
-            summary.oracle_failures.append(f"case {case_i}: {divergence}")
+        yield {
+            "check": "minimize",
+            "case": case_i,
+            "problems": [] if divergence is None else [f"oracle: {divergence}"],
+        }
 
-    summary.unflagged_kinds = [
-        k for k in CORRUPTION_KINDS if not summary.flagged_by_kind.get(k)
-    ]
-    return summary, reports
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.campaign",
-        description="lint campaign over valid and corrupted diff scripts",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed")
-    parser.add_argument("--cases", type=int, default=8, help="document pairs")
-    parser.add_argument(
-        "--per-kind", type=int, default=4,
-        help="corrupted scripts per (case, corruption kind)",
-    )
-    parser.add_argument(
-        "--out", type=str, default=None,
-        help="write the corrupted-corpus findings as SARIF to this file",
-    )
-    parser.add_argument(
-        "--summary-out", type=str, default=None,
-        help="write the campaign summary as JSON to this file",
-    )
-    args = parser.parse_args(argv)
-
-    config = LintCampaignConfig(
-        seed=args.seed, cases=args.cases, per_kind=args.per_kind
-    )
-    summary, reports = run_lint_campaign(config)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf8") as fh:
-            fh.write(render_sarif(reports))
-    if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf8") as fh:
-            json.dump(summary.as_dict(), fh, indent=2, sort_keys=True)
-
-    s = summary.as_dict()
-    flagged = sum(s["flagged_by_kind"].values())
-    print(
-        f"lint campaign: {s['scripts']} valid scripts "
-        f"({len(s['false_positives'])} false positive(s)), "
-        f"{s['corrupted']} corrupted scripts ({flagged} flagged), "
-        f"{len(s['oracle_failures'])} oracle failure(s)",
-        file=sys.stderr,
-    )
-    for kind in CORRUPTION_KINDS:
-        got = s["flagged_by_kind"].get(kind, 0)
-        missed = s["missed_by_kind"].get(kind, 0)
-        print(f"  {kind}: {got} flagged, {missed} statically invisible",
-              file=sys.stderr)
-    for line in summary.false_positives[:20]:
-        print(f"  FALSE POSITIVE: {line}", file=sys.stderr)
-    for line in summary.oracle_failures[:20]:
-        print(f"  ORACLE FAILURE: {line}", file=sys.stderr)
-    for kind in summary.unflagged_kinds:
-        print(f"  UNFLAGGED KIND: {kind}", file=sys.stderr)
-    return 0 if summary.ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    yield {
+        "check": "coverage",
+        "flagged": flagged,
+        "missed": missed,
+        "problems": [
+            f"corruption class {k} was never flagged"
+            for k in CORRUPTION_KINDS
+            if not flagged[k]
+        ],
+    }

@@ -9,24 +9,25 @@ the ancestor is summarized by its read/write effect set
 module is now a thin view over), and two scripts commute iff the effects
 are disjoint in the precise sense of :func:`commute_conflicts`.
 
-The :class:`Footprint` projection distinguishes *how* a resource is used,
-which is what makes this strictly more permissive than the historical
-URI-overlap check in :mod:`repro.core.merge`:
+The effect set distinguishes *how* a resource is used, which is what
+makes this strictly more permissive than the historical URI-overlap
+check in :mod:`repro.core.merge`:
 
-* ``slots`` — ``(parent_uri, link)`` slots the script detaches or fills
-  on ancestor nodes.  Two scripts rewiring the same slot race on it.
-* ``positions`` — ancestor nodes the script *moves* (detaches, attaches,
+* ``slot_writes`` — ``(parent_uri, link)`` slots the script detaches or
+  fills on ancestor nodes.  Two scripts rewiring the same slot race on
+  it.
+* ``moves`` — ancestor nodes the script *moves* (detaches, attaches,
   consumes into a load, or frees from an unload).  Moving a node twice is
   a race; merely mentioning the same node is not.
-* ``contents`` — ancestor nodes whose literals the script updates.
+* ``lit_writes`` — ancestor nodes whose literals the script updates.
   Content edits commute with position edits of the same node: moving a
   node does not observe its literals, and updating them does not observe
   its position.
-* ``destroyed`` — ancestor nodes the script unloads, **transitively**: a
+* ``destroys`` — ancestor nodes the script unloads, **transitively**: a
   composite ``Remove`` whose nested kids are themselves removed
   contributes every destroyed descendant, not just the top node.
   Destruction conflicts with *any* use by the other script.
-* ``loaded`` — fresh URIs the script creates, transitively: a composite
+* ``fresh`` — URIs the script creates, transitively: a composite
   ``Insert`` of a deep subtree contributes every nested load.  Under the
   *merge* contract fresh nodes are invisible to the other script
   (:func:`repro.core.merge_scripts` renames them), so loads contribute
@@ -46,8 +47,8 @@ Under those conditions each edit of ∆₂ sees exactly the state it saw
 against the ancestor, up to edits of ∆₁ on resources ∆₂ never touches —
 so ``∆₁ ; ∆₂`` and ``∆₂ ; ∆₁`` both type-check and produce the same tree.
 
-Footprints are computed on the *minimized* script (redundant
-detach/attach round trips would otherwise inflate the footprint and
+Effects are computed on the *minimized* script (redundant
+detach/attach round trips would otherwise inflate them and
 report phantom conflicts), but the merged output concatenates the
 original scripts unchanged — minimization here is an analysis device, not
 a rewrite of the user's scripts.
@@ -55,13 +56,10 @@ a rewrite of the user's scripts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.edits import EditScript
 from repro.core.merge import MergeConflict
-from repro.core.uris import URI
 
-from .race.effects import EffectSet, Slot, script_effects
+from .race.effects import script_effects
 from .race.interference import (
     RACE_CONTENT,
     RACE_POSITION,
@@ -75,50 +73,6 @@ _MERGE_KINDS = {
     RACE_POSITION: "position",
     RACE_CONTENT: "content",
 }
-
-
-@dataclass(frozen=True)
-class Footprint:
-    """The ancestor-tree resources one script consumes — the merge-facing
-    projection of the truerace :class:`~repro.analysis.race.EffectSet`."""
-
-    slots: frozenset[Slot]
-    positions: frozenset[URI]
-    contents: frozenset[URI]
-    destroyed: frozenset[URI]
-    loaded: frozenset[URI]
-
-    @classmethod
-    def from_effects(cls, effects: EffectSet) -> "Footprint":
-        return cls(
-            slots=effects.slot_writes,
-            positions=effects.moves,
-            contents=effects.lit_writes,
-            destroyed=effects.destroys,
-            loaded=effects.fresh,
-        )
-
-    @property
-    def touched(self) -> frozenset[URI]:
-        """Every ancestor node the script uses in any way."""
-        return (
-            self.positions
-            | self.contents
-            | self.destroyed
-            | frozenset(p for p, _ in self.slots)
-        )
-
-
-def script_footprint(script: EditScript, *, canonicalize: bool = True) -> Footprint:
-    """Compute the linear-resource footprint of ``script``.
-
-    With ``canonicalize`` (the default) the footprint is taken over the
-    lint normal form, so self-cancelling noise (a detach undone by an
-    attach, a dead load/unload) does not count as resource use.
-    """
-    return Footprint.from_effects(
-        script_effects(script, canonicalize=canonicalize)
-    )
 
 
 def commute_conflicts(a: EditScript, b: EditScript) -> list[MergeConflict]:

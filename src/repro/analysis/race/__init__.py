@@ -13,15 +13,17 @@ server's ``/apply-batch`` fans out across its worker pool.
 Layers:
 
 * :mod:`~repro.analysis.race.effects` — :class:`EffectSet`, the sound
-  read/write effect summary generalizing PR 5's merge footprint, plus
-  the deterministic cross-script fresh-URI renaming;
+  read/write effect summary (also the merge precheck's, in
+  :mod:`repro.analysis.commute`), plus the deterministic cross-script
+  fresh-URI renaming;
 * :mod:`~repro.analysis.race.interference` — the pairwise interference
   rules (stable ``TR0xx`` codes) and the wave :func:`schedule`;
 * :mod:`~repro.analysis.race.report` — deterministic text/JSON/SARIF
   conflict reports (driver ``truerace``);
-* :mod:`~repro.analysis.race.campaign` — the CI campaign: every pair
-  the analysis calls independent must pass the order-swap and
-  parallel-composition fingerprint oracles (zero false independents).
+* :mod:`~repro.analysis.race.campaign` — the ``race`` suite of
+  :mod:`repro.campaign`: every pair the analysis calls independent must
+  pass the order-swap and parallel-composition fingerprint oracles
+  (zero false independents).
 """
 
 from .effects import EffectSet, Slot, loaded_uris, rename_fresh, script_effects

@@ -1,126 +1,79 @@
-"""The truerace CI campaign: zero false "independent" verdicts.
+"""The ``race`` suite of :mod:`repro.campaign`: zero false "independent"
+verdicts.
 
 The interference analysis is only useful if its *negative* answers can
 be trusted — calling two scripts independent licenses the server to run
 them concurrently, so a false independent is a silent wrong answer
-waiting to happen.  This campaign hammers exactly that claim over the
-frozen synthetic corpus.  For every case it generates one base module
-plus several independently-diffed variants (each differ drawing fresh
-URIs from ``URIGen(start=size+1)``, the collision shape real batches
-exhibit), then:
+waiting to happen.  This suite hammers exactly that claim over the
+synthetic corpus.  For every case it generates one base module plus
+several independently-diffed variants (each differ drawing fresh URIs
+from ``URIGen(start=size+1)``, the collision shape real batches
+exhibit), then checks:
 
-1. **Pairwise differential oracle.**  Every pair the raw-mode analysis
-   (``assume_renamed=False``) calls independent must commute concretely:
-   applying the two scripts in either order must yield byte-identical
-   tree fingerprints (a rejection is a result too, and must reproduce
-   in both orders).  Any divergence is a false independent and fails
-   the campaign — the gate is **zero**.
-2. **Schedule composition.**  The renamed script set's wave schedule
-   (``assume_renamed=True`` after :func:`~repro.analysis.race.rename_fresh`)
-   is executed wave by wave and must produce the same per-script
-   verdicts and the same final fingerprint as the plain sequential fold
-   in input order — the property ``/apply-batch`` stakes its parallel
-   path on.
-3. **Sanity.**  Every generated script applies cleanly to its own base
-   (anything else is a corpus bug, not an analysis finding).
+1. **Sanity** (``sanity``).  Every generated script applies cleanly to
+   its own base (anything else is a corpus bug, not an analysis
+   finding).
+2. **Pairwise differential oracle** (``independence``).  Every pair the
+   raw-mode analysis (``assume_renamed=False``) calls independent must
+   commute concretely: applying the two scripts in either order must
+   yield byte-identical tree fingerprints (a rejection is a result too,
+   and must reproduce in both orders).  Any divergence is a false
+   independent — the gate is **zero**.
+3. **Schedule composition** (``schedule``).  The renamed script set's
+   wave schedule (``assume_renamed=True`` after
+   :func:`~repro.analysis.race.rename_fresh`) is executed wave by wave
+   and must produce the same per-script verdicts and the same final
+   fingerprint as the plain sequential fold in input order — the
+   property ``/apply-batch`` stakes its parallel path on.
 
-Conflicts found along the way are rendered as SARIF for the CI
-artifact.  Run as the CI race job does::
+A last ``conflicts`` row totals the conflicts by code and requires a
+``TR005`` fresh-URI collision somewhere: without one, the variants do
+not collide the way real batches do and the oracle proves little.  The
+per-case conflict reports become the suite's SARIF artifact::
 
-    PYTHONPATH=src python -m repro.analysis.race.campaign \\
-        --seed 20260808 --out race.sarif
+    PYTHONPATH=src python -m repro.campaign race --seed 20260808
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import random
-import sys
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from pathlib import Path
+from typing import Any, Iterator
 
 from repro.core import DiffOptions, TNode, URIGen, diff, tnode_to_mtree
 from repro.core.edits import EditScript
 
 from .effects import rename_fresh, script_effects
 from .interference import Schedule, schedule
-from .report import RaceReport, render_race_sarif
+from .report import RaceReport
+from .report import render_race_sarif as render_sarif  # renders the rows' reports
+
+#: base modules
+CASES = 6
+#: independently-diffed variants (= scripts) per base module
+SCRIPTS_PER_CASE = 4
 
 
-@dataclass
-class RaceCampaignConfig:
-    seed: int = 0
-    cases: int = 6
-    #: independently-diffed variants (= scripts) per base module
-    scripts_per_case: int = 4
-
-
-@dataclass
-class RaceCampaignSummary:
-    cases: int = 0
-    scripts: int = 0
-    pairs: int = 0
-    independent_pairs: int = 0
-    conflict_counts: dict[str, int] = field(default_factory=dict)
-    #: pairs called independent whose concrete applications diverged —
-    #: the zero-false-independence gate; must stay empty
-    false_independents: list[str] = field(default_factory=list)
-    #: wave-schedule executions that disagreed with the sequential fold
-    schedule_divergences: list[str] = field(default_factory=list)
-    #: generated scripts that failed to apply to their own base
-    invalid_scripts: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.false_independents
-            or self.schedule_divergences
-            or self.invalid_scripts
-        )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "cases": self.cases,
-            "scripts": self.scripts,
-            "pairs": self.pairs,
-            "independent_pairs": self.independent_pairs,
-            "conflict_counts": dict(sorted(self.conflict_counts.items())),
-            "false_independents": list(self.false_independents),
-            "schedule_divergences": list(self.schedule_divergences),
-            "invalid_scripts": list(self.invalid_scripts),
-            "ok": self.ok,
-        }
-
-
-def _campaign_cases(
-    config: RaceCampaignConfig,
-) -> Iterator[tuple[int, TNode, list[EditScript]]]:
+def _cases(seed: int) -> Iterator[tuple[int, TNode, list[EditScript]]]:
     """Per case: a canonical base tree plus independently-diffed scripts."""
     from repro.adapters.pyast import parse_python
-    from repro.corpus import GeneratorConfig, generate_module, mutate_source
+    from repro.corpus import seeded_cases
 
-    gen_config = GeneratorConfig(n_functions=(2, 4), n_classes=(0, 1))
-    for case_i in range(config.cases):
-        before = generate_module(config.seed + case_i, gen_config)
+    for case_i, (before, afters) in enumerate(
+        seeded_cases(seed, CASES, variants=SCRIPTS_PER_CASE, edits=(1, 4))
+    ):
         base = parse_python(before).with_canonical_uris()
-        scripts: list[EditScript] = []
-        for k in range(config.scripts_per_case):
-            rng = random.Random(
-                (config.seed * 1_000_003 + case_i) * 127 + k
-            )
-            after, _ = mutate_source(before, rng, n_edits=rng.randint(1, 4))
-            dst = parse_python(after)
-            # each variant is diffed independently against the same base,
-            # with the differ's standard fresh numbering — so the fresh
-            # ranges of different scripts collide, as in real batches
-            script, _ = diff(
+        # each variant is diffed independently against the same base,
+        # with the differ's standard fresh numbering — so the fresh
+        # ranges of different scripts collide, as in real batches
+        scripts = [
+            diff(
                 base,
-                dst,
+                parse_python(after),
                 DiffOptions(typecheck="none"),
                 urigen=URIGen(start=base.size + 1),
-            )
-            scripts.append(script)
+            )[0]
+            for after in afters
+        ]
         yield case_i, base, scripts
 
 
@@ -146,44 +99,37 @@ def _fold_fingerprint(
 
 
 def _check_pairwise(
-    case_i: int,
-    base: TNode,
-    scripts: list[EditScript],
-    sch: Schedule,
-    summary: RaceCampaignSummary,
-) -> None:
+    base: TNode, scripts: list[EditScript], sch: Schedule
+) -> dict[str, Any]:
     """The zero-false-independence gate: both orders of every pair the
     raw analysis called independent must agree byte for byte."""
-    independent_pairs: set[tuple[int, int]] = set()
     conflicting = {(c.left, c.right) for c in sch.conflicts}
     n = len(scripts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            summary.pairs += 1
-            if (i, j) in conflicting:
-                continue
-            independent_pairs.add((i, j))
-    summary.independent_pairs += len(independent_pairs)
-    for i, j in sorted(independent_pairs):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    independent = [p for p in pairs if p not in conflicting]
+    problems: list[str] = []
+    for i, j in independent:
         fp_ij, v_ij = _fold_fingerprint(base, scripts, [i, j])
         fp_ji, v_ji = _fold_fingerprint(base, scripts, [j, i])
         same_verdicts = {v[0]: v[1:] for v in v_ij} == {
             v[0]: v[1:] for v in v_ji
         }
         if fp_ij != fp_ji or not same_verdicts:
-            summary.false_independents.append(
-                f"case {case_i}: scripts #{i} and #{j} were called "
+            problems.append(
+                f"false independent: scripts #{i} and #{j} were called "
                 f"independent but orders diverge "
                 f"({fp_ij[:12]} vs {fp_ji[:12]}; {v_ij} vs {v_ji})"
             )
+    return {
+        "pairs": len(pairs),
+        "independent": len(independent),
+        "problems": problems,
+    }
 
 
 def _check_schedule_composition(
-    case_i: int,
-    base: TNode,
-    scripts: list[EditScript],
-    summary: RaceCampaignSummary,
-) -> None:
+    base: TNode, scripts: list[EditScript]
+) -> dict[str, Any]:
     """Renamed wave execution must equal the sequential fold — the
     property the server's parallel batch path relies on."""
     renamed, _ = rename_fresh(
@@ -195,117 +141,66 @@ def _check_schedule_composition(
     fp_seq, v_seq = _fold_fingerprint(base, renamed, list(range(len(renamed))))
     wave_verdicts = {v[0]: v[1:] for v in v_wave}
     seq_verdicts = {v[0]: v[1:] for v in v_seq}
+    problems: list[str] = []
     if fp_wave != fp_seq or wave_verdicts != seq_verdicts:
-        summary.schedule_divergences.append(
-            f"case {case_i}: wave execution {fp_wave[:12]} (waves "
+        problems.append(
+            f"schedule divergence: wave execution {fp_wave[:12]} (waves "
             f"{sch.waves}) != sequential fold {fp_seq[:12]}"
         )
+    return {"waves": sch.waves, "problems": problems}
 
 
-def run_race_campaign(
-    config: RaceCampaignConfig,
-) -> tuple[RaceCampaignSummary, list[RaceReport]]:
-    """Run the campaign; returns the summary plus per-case race reports
-    (for the SARIF artifact)."""
+def checks(seed: int, workdir: Path) -> Iterator[dict[str, Any]]:
+    """Per case a ``sanity``, an ``independence`` and a ``schedule``
+    row; then the ``conflicts`` row."""
     from repro.core import PatchError
 
-    summary = RaceCampaignSummary()
-    reports: list[RaceReport] = []
+    totals = {"cases": 0, "scripts": 0, "pairs": 0, "independent": 0}
+    conflict_counts: dict[str, int] = {}
+    for case_i, base, scripts in _cases(seed):
+        totals["cases"] += 1
+        totals["scripts"] += len(scripts)
 
-    for case_i, base, scripts in _campaign_cases(config):
-        summary.cases += 1
-        summary.scripts += len(scripts)
-
-        # 3. sanity: every script applies to its own base
+        # sanity: every script applies to its own base
+        invalid: list[str] = []
         for k, script in enumerate(scripts):
             mtree = tnode_to_mtree(base)
             try:
                 mtree.patch(script, atomic=True, sigs=base.sigs, verify=True)
             except PatchError as exc:
-                summary.invalid_scripts.append(
-                    f"case {case_i}: script #{k} rejected by its base: {exc}"
-                )
+                invalid.append(f"invalid script: #{k} rejected by its base: {exc}")
+        yield {"check": "sanity", "case": case_i, "problems": invalid}
 
         # raw-mode analysis: what may run concurrently WITHOUT renaming
-        effects = [script_effects(s) for s in scripts]
-        sch = schedule(scripts, effects=effects)
+        sch = schedule(scripts, effects=[script_effects(s) for s in scripts])
         for c in sch.conflicts:
-            summary.conflict_counts[c.code] = (
-                summary.conflict_counts.get(c.code, 0) + 1
-            )
-        reports.append(
-            RaceReport(
+            conflict_counts[c.code] = conflict_counts.get(c.code, 0) + 1
+        pairwise = _check_pairwise(base, scripts, sch)
+        totals["pairs"] += pairwise["pairs"]
+        totals["independent"] += pairwise["independent"]
+        yield {
+            "check": "independence",
+            "case": case_i,
+            **pairwise,
+            "report": RaceReport(
                 sch,
                 labels=[f"case{case_i}/script{k}" for k in range(len(scripts))],
                 uri=f"case{case_i}",
-            )
-        )
+            ),
+        }
 
-        # 1. the gate
-        _check_pairwise(case_i, base, scripts, sch, summary)
-        # 2. wave composition under the renaming discipline
-        _check_schedule_composition(case_i, base, scripts, summary)
+        # wave composition under the renaming discipline
+        yield {
+            "check": "schedule",
+            "case": case_i,
+            **_check_schedule_composition(base, scripts),
+        }
 
-    return summary, reports
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.race.campaign",
-        description=(
-            "race-analysis campaign: differential oracle over every pair "
-            "called independent (zero-false-independence gate)"
-        ),
-    )
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed")
-    parser.add_argument("--cases", type=int, default=6, help="base modules")
-    parser.add_argument(
-        "--scripts-per-case", type=int, default=4,
-        help="independently-diffed variants per base",
-    )
-    parser.add_argument(
-        "--out", type=str, default=None,
-        help="write the per-case conflict reports as SARIF to this file",
-    )
-    parser.add_argument(
-        "--summary-out", type=str, default=None,
-        help="write the campaign summary as JSON to this file",
-    )
-    args = parser.parse_args(argv)
-
-    config = RaceCampaignConfig(
-        seed=args.seed,
-        cases=args.cases,
-        scripts_per_case=args.scripts_per_case,
-    )
-    summary, reports = run_race_campaign(config)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf8") as fh:
-            fh.write(render_race_sarif(reports))
-            fh.write("\n")
-    if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf8") as fh:
-            json.dump(summary.as_dict(), fh, indent=2, sort_keys=True)
-
-    s = summary.as_dict()
-    print(
-        f"race campaign: {s['cases']} cases, {s['scripts']} scripts, "
-        f"{s['pairs']} pairs ({s['independent_pairs']} independent, "
-        f"{len(s['false_independents'])} false independent(s)), "
-        f"{len(s['schedule_divergences'])} schedule divergence(s)",
-        file=sys.stderr,
-    )
-    for code, count in s["conflict_counts"].items():
-        print(f"  {code}: {count} conflict(s)", file=sys.stderr)
-    for line in summary.false_independents[:20]:
-        print(f"  FALSE INDEPENDENT: {line}", file=sys.stderr)
-    for line in summary.schedule_divergences[:20]:
-        print(f"  SCHEDULE DIVERGENCE: {line}", file=sys.stderr)
-    for line in summary.invalid_scripts[:20]:
-        print(f"  INVALID SCRIPT: {line}", file=sys.stderr)
-    return 0 if summary.ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    yield {
+        "check": "conflicts",
+        **totals,
+        "by_code": dict(sorted(conflict_counts.items())),
+        "problems": []
+        if conflict_counts.get("TR005")
+        else ["no TR005 fresh-URI collision: the variants never collided"],
+    }

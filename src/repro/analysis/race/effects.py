@@ -1,9 +1,9 @@
 """The truerace effect system: sound read/write summaries of edit scripts.
 
-PR 5's :class:`~repro.analysis.commute.Footprint` answers the *merge*
-question — do two scripts commute once the merger has renamed one side's
-fresh URIs?  Under that contract, freshly loaded URIs are invisible to
-the other script and rightly contribute nothing.  The *race* question is
+The *merge* question (:mod:`repro.analysis.commute`) is whether two
+scripts commute once the merger has renamed one side's fresh URIs;
+under that contract, freshly loaded URIs are invisible to the other
+script and rightly contribute nothing.  The *race* question is
 harsher: given N scripts that will be applied to the same served tree
 with no mediating merge step, which can run concurrently?  There the
 fresh URIs are real, allocatable resources — two scripts produced by
@@ -11,9 +11,9 @@ independent differs both draw their loads from ``URIGen(start=size+1)``
 over the same base, so their fresh URI ranges collide byte for byte, and
 applying one makes the other's ``Load`` a URI conflict at patch time.
 
-:class:`EffectSet` therefore generalizes the footprint into a full
-read/write effect summary over every linear resource class the type
-system tracks (Figure 3's ``(R • S)`` state):
+:class:`EffectSet` answers both: a full read/write effect summary over
+every linear resource class the type system tracks (Figure 3's
+``(R • S)`` state):
 
 * ``slot_writes`` — ancestor ``(parent, link)`` slots detached or filled;
 * ``moves`` — ancestor nodes repositioned (write on the node's position);
@@ -29,9 +29,8 @@ system tracks (Figure 3's ``(R • S)`` state):
   collides with *any* mention of another is treated as interference).
 
 The summary is computed on the minimized script (lint normal form), so
-self-cancelling noise does not inflate it — same policy as the merge
-footprint, and for the same reason: the effect set is an analysis
-artifact, never a rewrite of the script under analysis.
+self-cancelling noise does not inflate it: the effect set is an
+analysis artifact, never a rewrite of the script under analysis.
 """
 
 from __future__ import annotations

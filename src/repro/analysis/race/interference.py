@@ -35,8 +35,8 @@ Soundness: if ``interference(a, b)`` is empty then the two scripts'
 effect sets are disjoint on every linear resource class, so by the
 commutation argument of :mod:`repro.analysis.commute` both application
 orders type-check and produce the same tree — and (with renaming or
-disjoint fresh sets) so does their concatenation.  The differential
-oracle in :mod:`repro.analysis.race.campaign` checks exactly this claim
+disjoint fresh sets) so does their concatenation.  The ``race`` suite
+(:mod:`repro.analysis.race.campaign`) checks exactly this claim
 on every pair the analysis calls independent; the gate is zero false
 "independent" verdicts.
 

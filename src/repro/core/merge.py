@@ -7,10 +7,10 @@ and *sound* merge is possible: two scripts that **commute** can be
 concatenated; scripts that race on a linear resource are a conflict.
 
 Whether two scripts commute is decided by the static commutation
-analysis (:mod:`repro.analysis.commute`): each script is summarized by a
-footprint of the ancestor-tree resources it consumes — slots it rewires,
-nodes it moves, literals it updates, nodes it destroys — and the scripts
-commute iff the footprints are disjoint.  This is strictly more
+analysis (:mod:`repro.analysis.commute`): each script is summarized by
+the read/write effects it has on ancestor-tree resources — slots it
+rewires, nodes it moves, literals it updates, nodes it destroys — and
+the scripts commute iff the effects are disjoint.  This is strictly more
 permissive than the historical URI-overlap check that used to live here:
 moving a node and updating the same node's literals commute, as do two
 moves whose slots and nodes differ, even under a shared parent.  What

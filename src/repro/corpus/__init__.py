@@ -1,7 +1,9 @@
 """Benchmark corpora: synthetic Python modules, commit-like mutations,
-real stdlib sources, and a simulated commit history (the paper's keras
-corpus stand-in; see DESIGN.md for the substitution rationale)."""
+real stdlib sources, a simulated commit history (the paper's keras
+corpus stand-in; see DESIGN.md for the substitution rationale), and the
+seeded cases the gate suites of :mod:`repro.campaign` draw from."""
 
+from .cases import seeded_cases
 from .generator import GeneratorConfig, PythonGenerator, generate_module
 from .history import CommitSimulator, CorpusConfig, FileChange, default_corpus
 from .mutations import MUTATIONS, mutate_source
@@ -19,5 +21,6 @@ __all__ = [
     "iter_stdlib_sources",
     "load_stdlib_corpus",
     "mutate_source",
+    "seeded_cases",
     "stdlib_root",
 ]

@@ -10,8 +10,8 @@ incremental engine.  This subsystem makes them first-class:
   :class:`~repro.observability.metrics.MetricsRegistry` with
   :func:`enable`/:func:`disable`/:func:`snapshot`/:func:`merge`/:func:`reset`;
 * :mod:`repro.observability.spans` — ``with span("repro.diff.assign_shares")``
-  context managers feeding histograms, sinks, and (when tracing is on)
-  the causal trace buffer, with typed attributes and outcome recording;
+  context managers feeding histograms and (when tracing is on) the
+  causal trace buffer, with typed attributes and outcome recording;
 * :mod:`repro.observability.tracing` — trace contexts (trace/span/parent
   ids over :mod:`contextvars`), wall-clock epoch timestamps, head
   sampling (``OBS_SAMPLE=1/N``), and cross-process propagation
@@ -20,9 +20,8 @@ incremental engine.  This subsystem makes them first-class:
   envelopes, fork-safe worker setup, per-worker telemetry deltas with
   JSONL spill, and the driver-side :class:`TelemetryCollector`;
 * :mod:`repro.observability.export` — Chrome trace-event JSON, OTLP-shaped
-  JSON, and plain-text timeline rendering of collected spans;
-* :mod:`repro.observability.sinks` — in-memory, JSON-file, Prometheus
-  text-format, and line-oriented span-event-log sinks.
+  JSON, and plain-text timeline rendering of collected spans, plus the
+  Prometheus text and human-readable renderings of registry snapshots.
 
 Instrumented call sites live in :mod:`repro.core.diff`,
 :mod:`repro.core.flatdiff`, :mod:`repro.core.mtree`,
@@ -53,7 +52,9 @@ from .aggregate import (
 from .export import (
     chrome_trace,
     otlp_spans,
+    prometheus_text,
     read_spans,
+    render_report,
     render_timeline,
     write_trace,
 )
@@ -67,19 +68,10 @@ from .metrics import (
     disable,
     enable,
     enabled,
-    export,
     merge,
     metrics,
     reset,
     snapshot,
-)
-from .sinks import (
-    EventLogSink,
-    InMemorySink,
-    JSONFileSink,
-    parse_event_line,
-    prometheus_text,
-    render_report,
 )
 from .spans import NOOP_SPAN, Span, span
 from .tracing import (
@@ -101,11 +93,8 @@ __all__ = [
     "REGISTRY",
     "TRACE",
     "Counter",
-    "EventLogSink",
     "Gauge",
     "Histogram",
-    "InMemorySink",
-    "JSONFileSink",
     "MetricsRegistry",
     "NOOP_SPAN",
     "Span",
@@ -118,11 +107,9 @@ __all__ = [
     "enable",
     "enable_tracing",
     "enabled",
-    "export",
     "merge",
     "metrics",
     "otlp_spans",
-    "parse_event_line",
     "parse_sample",
     "prometheus_text",
     "read_spans",

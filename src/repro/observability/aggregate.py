@@ -64,7 +64,7 @@ def worker_setup(obs: Optional[dict[str, Any]]) -> None:
     pid = os.getpid()
     if pid == obs.get("driver_pid") or pid == _WORKER_PID:
         return
-    REGISTRY.reset()  # method form: keeps sinks, zeroes inherited values
+    REGISTRY.reset()  # zero the values inherited across the fork
     _tracing.reset_tracing()
     _tracing.take_spans()
     if obs.get("trace"):

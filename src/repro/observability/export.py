@@ -23,13 +23,24 @@ batch workers, and renders them for external tooling:
   inspection.
 
 ``write_trace`` picks the format by name and writes the document.
+
+Registry snapshots render here too:
+
+* :func:`prometheus_text` — the Prometheus text exposition format
+  (counters as ``_total``, histograms as summaries with ``quantile``
+  labels); metric names are sanitized and label values escaped per the
+  exposition format, so adapter names and worker ids can be used as
+  labels verbatim — ``/metrics`` and ``--metrics=prom``;
+* :func:`render_report` — the human-readable pass-by-pass report used
+  by ``python -m repro stats``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterable, Optional
+import re
+from typing import Any, Iterable, Mapping, Optional
 
 TRACE_FORMATS = ("chrome", "otlp", "timeline")
 
@@ -368,4 +379,116 @@ def render_timeline(spans: Iterable[dict[str, Any]]) -> str:
     lines.append(
         f"-- {len(records)} span(s), {traces} trace(s), {n_pids} process(es)"
     )
+    return "\n".join(lines)
+
+
+# -- Prometheus text exposition ----------------------------------------------
+
+_PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def _prom_name(name: str) -> str:
+    """Sanitize a dotted metric name into a legal Prometheus name.
+
+    The exposition format requires ``[a-zA-Z_:][a-zA-Z0-9_:]*`` — every
+    other character becomes ``_`` and a leading digit gets a ``_``
+    prefix.
+    """
+    out = _PROM_BAD.sub("_", name)
+    if out and out[0].isdigit():
+        out = "_" + out
+    return out or "_"
+
+
+def _prom_label_value(value: Any) -> str:
+    """Escape a label value per the text exposition format: backslash,
+    double-quote, and line-feed must be escaped inside the quotes."""
+    return (
+        str(value)
+        .replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+    )
+
+
+def _prom_labels(labels: Optional[Mapping[str, Any]], extra: str = "") -> str:
+    """Render a label set (plus an optional pre-rendered pair) as
+    ``{k="v",...}``; empty when there is nothing to render."""
+    parts = [
+        f'{_prom_name(str(k))}="{_prom_label_value(v)}"'
+        for k, v in (labels or {}).items()
+    ]
+    if extra:
+        parts.append(extra)
+    return "{" + ",".join(parts) + "}" if parts else ""
+
+
+def prometheus_text(
+    snap: dict, labels: Optional[Mapping[str, Any]] = None
+) -> str:
+    """Render a registry snapshot in the Prometheus text format.
+
+    Counters become ``<name>_total`` counter samples, gauges stay
+    gauges, histograms are exposed as summaries (``quantile`` labels,
+    ``_sum``/``_count``) plus a non-standard ``_max`` gauge.
+
+    ``labels`` attaches a label set to every sample — the batch driver
+    renders per-worker snapshots with ``labels={"worker": pid}`` — with
+    values escaped per the exposition format (quote, backslash, and
+    newline safe).
+    """
+    base = _prom_labels(labels)
+    lines: list[str] = []
+    for name, value in snap.get("counters", {}).items():
+        pname = _prom_name(name) + "_total"
+        lines.append(f"# TYPE {pname} counter")
+        lines.append(f"{pname}{base} {value}")
+    for name, value in snap.get("gauges", {}).items():
+        pname = _prom_name(name)
+        lines.append(f"# TYPE {pname} gauge")
+        lines.append(f"{pname}{base} {value}")
+    q50 = _prom_labels(labels, extra='quantile="0.5"')
+    q95 = _prom_labels(labels, extra='quantile="0.95"')
+    for name, summ in snap.get("histograms", {}).items():
+        pname = _prom_name(name)
+        lines.append(f"# TYPE {pname} summary")
+        lines.append(f"{pname}{q50} {summ['p50']}")
+        lines.append(f"{pname}{q95} {summ['p95']}")
+        lines.append(f"{pname}_sum{base} {summ['total']}")
+        lines.append(f"{pname}_count{base} {summ['count']}")
+        lines.append(f"# TYPE {pname}_max gauge")
+        lines.append(f"{pname}_max{base} {summ['max']}")
+    return "\n".join(lines) + "\n"
+
+
+def render_report(snap: dict, title: Optional[str] = None) -> str:
+    """Human-readable report: histograms (the per-pass timings) first,
+    then counters, then gauges."""
+    lines: list[str] = []
+    if title:
+        lines.append(title)
+    hists: dict[str, Any] = snap.get("histograms", {})
+    if hists:
+        lines.append("spans / histograms:")
+        width = max(len(n) for n in hists)
+        for name, s in hists.items():
+            lines.append(
+                f"  {name:<{width}}  count {s['count']:>6}  "
+                f"p50 {s['p50']:>9.3f}  p95 {s['p95']:>9.3f}  "
+                f"max {s['max']:>9.3f}  total {s['total']:>10.3f}"
+            )
+    counters: dict[str, int] = snap.get("counters", {})
+    if counters:
+        lines.append("counters:")
+        width = max(len(n) for n in counters)
+        for name, v in counters.items():
+            lines.append(f"  {name:<{width}}  {v}")
+    gauges: dict[str, float] = snap.get("gauges", {})
+    if gauges:
+        lines.append("gauges:")
+        width = max(len(n) for n in gauges)
+        for name, v in gauges.items():
+            lines.append(f"  {name:<{width}}  {v}")
+    if len(lines) <= (1 if title else 0):
+        lines.append("(no metrics recorded)")
     return "\n".join(lines)

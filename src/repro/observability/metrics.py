@@ -211,14 +211,13 @@ class MetricsRegistry:
     are simply correct under threads.
     """
 
-    __slots__ = ("_lock", "_counters", "_gauges", "_histograms", "sinks")
+    __slots__ = ("_lock", "_counters", "_gauges", "_histograms")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self.sinks: list[Any] = []
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
@@ -292,23 +291,6 @@ class MetricsRegistry:
         for h in self._histograms.values():
             h._reset()
 
-    def emit_event(
-        self,
-        name: str,
-        start: float,
-        dur_ms: float,
-        epoch: float = 0.0,
-        status: str = "ok",
-    ) -> None:
-        """Fan a span event out to every attached sink.
-
-        ``start`` is the monotonic (``perf_counter``) origin, ``epoch``
-        the wall-clock start in seconds since the Unix epoch — the
-        cross-process-correlatable timestamp.
-        """
-        for sink in self.sinks:
-            sink.event(name, start, dur_ms, epoch, status)
-
 
 #: The process-wide registry all instrumented modules publish into.
 REGISTRY = MetricsRegistry()
@@ -319,15 +301,8 @@ def metrics() -> MetricsRegistry:
     return REGISTRY
 
 
-def enable(*sinks: Any) -> None:
-    """Turn instrumentation on, optionally attaching sinks.
-
-    Sinks receive span events as they close (``sink.event(name, start,
-    dur_ms)``) and snapshots on :func:`export` (``sink.export(snap)``).
-    """
-    for sink in sinks:
-        if sink not in REGISTRY.sinks:
-            REGISTRY.sinks.append(sink)
+def enable() -> None:
+    """Turn instrumentation on."""
     OBS.enabled = True
 
 
@@ -350,14 +325,5 @@ def merge(snap: dict) -> None:
 
 
 def reset() -> None:
-    """Zero all instruments and detach all sinks."""
+    """Zero all instruments."""
     REGISTRY.reset()
-    REGISTRY.sinks.clear()
-
-
-def export() -> dict:
-    """Snapshot and push the snapshot to every attached sink."""
-    snap = REGISTRY.snapshot()
-    for sink in REGISTRY.sinks:
-        sink.export(snap)
-    return snap

@@ -1,5 +1,5 @@
-"""Span tracing: timed context managers feeding histograms, sinks, and
-the causal trace buffer.
+"""Span tracing: timed context managers feeding histograms and the
+causal trace buffer.
 
 ``with span("repro.diff.assign_shares"): ...`` measures the block with
 the monotonic clock and, on exit,
@@ -10,10 +10,6 @@ the monotonic clock and, on exit,
   ``status="error"``, its ``error_type``, and a bump of the
   ``<name>.errors`` counter — a raising pass is no longer
   indistinguishable from a succeeding one,
-* emits one event to every attached sink (the line-oriented
-  :class:`~repro.observability.sinks.EventLogSink` turns these into a
-  span stream) carrying both the wall-clock epoch and the monotonic
-  origin, and
 * when tracing is enabled (:func:`repro.observability.tracing.enable_tracing`),
   appends a span *record* — trace/span/parent ids from the contextvar
   chain, epoch start, duration, typed attributes — to the process-local
@@ -100,8 +96,6 @@ class Span:
         REGISTRY.histogram(self.name + ".ms").observe(dur_ms)
         if self.status != "ok":
             REGISTRY.counter(self.name + ".errors").inc()
-        if REGISTRY.sinks:
-            REGISTRY.emit_event(self.name, self._t0, dur_ms, self._epoch, self.status)
         if self._token is not None:
             _tracing.end_span(
                 self._token,

@@ -13,8 +13,9 @@ complement — scripts and trees that arrive damaged:
   no leaks, signature conformance) plus canonical tree fingerprints;
 * :mod:`repro.robustness.faults` — deterministic script corruption and
   crash injection;
-* :mod:`repro.robustness.harness` — seeded campaigns asserting that no
-  fault, however delivered, can leave a tree in an intermediate state;
+* :mod:`repro.robustness.harness` — the ``fault`` suite of
+  :mod:`repro.campaign`, asserting that no fault, however delivered,
+  can leave a tree in an intermediate state;
 * :mod:`repro.robustness.fallback` — the trivial replace-root script
   used for graceful degradation in batch runs.
 """
@@ -27,11 +28,9 @@ from .faults import (
     corrupt_script,
     flip_byte,
     inject_fault_at,
+    seeded_corruptions,
     truncate_tail,
 )
-# NOTE: .harness is intentionally not imported here — it is the
-# ``python -m repro.robustness.harness`` entry point, and importing it from
-# the package initializer would trip runpy's double-import warning.
 from .integrity import (
     IntegrityError,
     check_tree,
@@ -61,6 +60,7 @@ __all__ = [
     "corrupt_script",
     "flip_byte",
     "inject_fault_at",
+    "seeded_corruptions",
     "truncate_tail",
     "linear_state_of",
     "patch_atomic",

@@ -20,9 +20,11 @@ Two orthogonal fault models:
   scripts.
 
 Both are pure and deterministic: the same seed produces the same faults,
-so every campaign scenario is replayable.
+so every campaign scenario is replayable; :func:`seeded_corruptions` is
+the one seed derivation the ``fault`` and ``lint`` suites of
+:mod:`repro.campaign` share.
 
-A third, byte-level model serves the durable-server chaos campaign
+A third, byte-level model serves the ``chaos`` suite
 (:mod:`repro.server.chaos`): :func:`flip_byte` and :func:`truncate_tail`
 damage an opaque byte payload — a write-ahead journal segment, a
 snapshot file — the way a crashed disk or a torn write would, again
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.core.edits import (
     EditScript,
@@ -169,6 +171,20 @@ def corrupt_script(
     # kind == "truncate"
     cut = rng.randrange(len(edits))
     return Corruption(kind, f"truncated to first {cut} edit(s)", EditScript(edits[:cut]))
+
+
+def seeded_corruptions(
+    script: EditScript, seed: int, case: int, per_kind: int
+) -> Iterator[tuple[int, Corruption]]:
+    """``per_kind`` corruptions of ``script`` per kind, in
+    :data:`CORRUPTION_KINDS` order, as ``(rep, corruption)`` pairs: the
+    replayable corruptions of campaign case ``case`` under ``seed``."""
+    for kind_i, kind in enumerate(CORRUPTION_KINDS):
+        for rep in range(per_kind):
+            # arithmetic seed derivation: string hashes are process-
+            # randomized and would make campaigns unreplayable
+            rng = random.Random(((seed * 1_000_003 + case) * 31 + kind_i) * 101 + rep)
+            yield rep, corrupt_script(script, rng, kind)
 
 
 def flip_byte(data: bytes, rng: random.Random) -> tuple[bytes, int]:

@@ -1,6 +1,7 @@
-"""Seeded fault-injection campaigns over real diff scripts.
+"""The ``fault`` suite of :mod:`repro.campaign`: seeded fault injection
+over real diff scripts.
 
-A campaign builds document pairs from the synthetic Python corpus, diffs
+The suite builds document pairs from the synthetic Python corpus, diffs
 them, and then attacks each application three ways:
 
 1. **baseline** — the clean script must commit atomically and the
@@ -14,90 +15,34 @@ them, and then attacks each application three ways:
    forces a crash before each sampled primitive edit of the *valid*
    script; the abort must roll back to the identical fingerprint.
 
-Any scenario violating its invariant is recorded as a violation; a sound
-implementation produces zero (the acceptance bar for this harness).
-Every scenario is derived from the campaign seed, so reports are
-replayable bit-for-bit.
+Each scenario is one check; a sound implementation violates none.  A
+last ``outcomes`` check requires all three outcomes (applied, rejected,
+aborted) to occur, so the campaign exercises every path it claims to.
+Every scenario is derived from the seed, so reports are replayable::
 
-Run as a module for the CI smoke job::
-
-    PYTHONPATH=src python -m repro.robustness.harness \\
-        --seed 20260806 --out fault-report.jsonl
+    PYTHONPATH=src python -m repro.campaign fault --seed 20260806
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Any, Callable, Iterator, Optional
 
 from repro.core import EditScript, diff, tnode_to_mtree
 from repro.core.mtree import MTree, PatchError
 from repro.core.signature import SignatureRegistry
-from repro.core.tree import TNode
 
-from .faults import CORRUPTION_KINDS, InjectedFault, corrupt_script, inject_fault_at
+from .faults import inject_fault_at, seeded_corruptions
 from .integrity import check_tree, tree_fingerprint
 from .transaction import PreflightError
 
-
-@dataclass
-class CampaignConfig:
-    seed: int = 0
-    cases: int = 10
-    #: corrupted applications per (case, corruption kind)
-    per_kind: int = 8
-    #: injected crash points per case (sampled over the script length)
-    injections: int = 10
-
-
-@dataclass
-class CampaignSummary:
-    scenarios: int = 0
-    applied: int = 0
-    rejected: int = 0
-    aborted: int = 0
-    by_kind: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "scenarios": self.scenarios,
-            "applied": self.applied,
-            "rejected": self.rejected,
-            "aborted": self.aborted,
-            "by_kind": dict(self.by_kind),
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
-
-
-def corpus_cases(
-    n_cases: int, seed: int
-) -> list[tuple[TNode, TNode, SignatureRegistry]]:
-    """Reproducible (source, target, signatures) pairs from the synthetic
-    Python corpus: each source is a generated module, each target a
-    commit-like mutation of it."""
-    from repro.adapters.pyast import parse_python
-    from repro.corpus import GeneratorConfig, generate_module, mutate_source
-
-    config = GeneratorConfig(n_functions=(2, 4), n_classes=(0, 1))
-    cases = []
-    for i in range(n_cases):
-        before = generate_module(seed + i, config)
-        rng = random.Random(seed * 1_000_003 + i)
-        after, _ = mutate_source(before, rng, n_edits=rng.randint(2, 6))
-        src = parse_python(before)
-        dst = parse_python(after)
-        cases.append((src, dst, src.sigs))
-    return cases
+#: document pairs
+CASES = 10
+#: corrupted applications per (case, corruption kind)
+PER_KIND = 8
+#: injected crash points per case (sampled over the script length)
+INJECTIONS = 10
 
 
 def _run_one(
@@ -133,40 +78,27 @@ def _run_one(
     return "applied", "", problems
 
 
-def run_campaign(
-    config: CampaignConfig,
-    emit: Optional[Callable[[dict], None]] = None,
-) -> CampaignSummary:
-    """Run the full campaign; ``emit`` receives one dict per scenario."""
-    summary = CampaignSummary()
+def checks(seed: int, workdir: Path) -> Iterator[dict[str, Any]]:
+    """One row per scenario, then the ``outcomes`` row."""
+    from repro.adapters.pyast import parse_python
+    from repro.corpus import seeded_cases
 
-    def record(case: int, mode: str, detail: str, outcome: str, error: str,
-               problems: list[str]) -> None:
-        summary.scenarios += 1
-        summary.by_kind[mode] = summary.by_kind.get(mode, 0) + 1
-        if outcome == "applied":
-            summary.applied += 1
-        elif outcome == "rejected":
-            summary.rejected += 1
-        else:
-            summary.aborted += 1
-        for p in problems:
-            summary.violations.append(f"case {case} [{mode}] {detail}: {p}")
-        if emit is not None:
-            emit(
-                {
-                    "case": case,
-                    "mode": mode,
-                    "detail": detail,
-                    "outcome": outcome,
-                    "error": error,
-                    "violations": problems,
-                }
-            )
+    outcomes = dict.fromkeys(("applied", "rejected", "aborted"), 0)
 
-    for case_i, (src, dst, sigs) in enumerate(
-        corpus_cases(config.cases, config.seed)
-    ):
+    def row(case: int, mode: str, detail: str, outcome: str, error: str,
+            problems: list[str]) -> dict[str, Any]:
+        outcomes[outcome] += 1
+        return {"check": mode, "case": case, "detail": detail,
+                "outcome": outcome, "error": error, "problems": problems}
+
+    # parse every case before diffing any: the parser numbers nodes from
+    # one process-wide counter, so this order keeps the URIs replayable
+    cases = [
+        (parse_python(before), parse_python(after))
+        for before, (after,) in seeded_cases(seed, CASES)
+    ]
+    for case_i, (src, dst) in enumerate(cases):
+        sigs = src.sigs
         script, _ = diff(src, dst)
         proto = tnode_to_mtree(src)
         n_prims = sum(1 for _ in script.primitives())
@@ -175,28 +107,19 @@ def run_campaign(
         outcome, error, problems = _run_one(proto, script, sigs)
         if outcome != "applied":
             problems = problems + [f"valid script did not apply: {error}"]
-        record(case_i, "baseline", f"{n_prims} primitive edits", outcome,
-               error, problems)
+        yield row(case_i, "baseline", f"{n_prims} primitive edits", outcome,
+                  error, problems)
 
         # 2. seeded corruptions, per kind
-        for kind_i, kind in enumerate(CORRUPTION_KINDS):
-            for rep in range(config.per_kind):
-                # arithmetic seed derivation: string hashes are process-
-                # randomized and would make campaigns unreplayable
-                rng = random.Random(
-                    ((config.seed * 1_000_003 + case_i) * 31 + kind_i) * 101 + rep
-                )
-                corruption = corrupt_script(script, rng, kind)
-                outcome, error, problems = _run_one(proto, corruption.script, sigs)
-                record(case_i, f"corrupt:{kind}", corruption.detail, outcome,
-                       error, problems)
+        for _, corruption in seeded_corruptions(script, seed, case_i, PER_KIND):
+            outcome, error, problems = _run_one(proto, corruption.script, sigs)
+            yield row(case_i, f"corrupt:{corruption.kind}", corruption.detail,
+                      outcome, error, problems)
 
         # 3. injected crashes across the valid script
         if n_prims:
-            rng = random.Random(config.seed ^ (case_i * 7919))
-            points = sorted(
-                rng.sample(range(n_prims), min(config.injections, n_prims))
-            )
+            rng = random.Random(seed ^ (case_i * 7919))
+            points = sorted(rng.sample(range(n_prims), min(INJECTIONS, n_prims)))
             for k in points:
                 outcome, error, problems = _run_one(
                     proto, script, sigs, fault_hook=inject_fault_at(k)
@@ -205,62 +128,12 @@ def run_campaign(
                     problems = problems + [
                         f"injected fault at #{k} did not abort (outcome {outcome})"
                     ]
-                record(case_i, "inject", f"crash before edit #{k}", outcome,
-                       error, problems)
+                yield row(case_i, "inject", f"crash before edit #{k}", outcome,
+                          error, problems)
 
-    return summary
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.robustness.harness",
-        description="seeded fault-injection campaign over real diff scripts",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed")
-    parser.add_argument("--cases", type=int, default=10, help="document pairs")
-    parser.add_argument(
-        "--per-kind", type=int, default=8,
-        help="corrupted applications per (case, corruption kind)",
-    )
-    parser.add_argument(
-        "--injections", type=int, default=10,
-        help="injected crash points per case",
-    )
-    parser.add_argument(
-        "--out", type=str, default=None,
-        help="write one JSON object per scenario to this file",
-    )
-    args = parser.parse_args(argv)
-
-    config = CampaignConfig(
-        seed=args.seed,
-        cases=args.cases,
-        per_kind=args.per_kind,
-        injections=args.injections,
-    )
-    out = open(args.out, "w", encoding="utf8") if args.out else None
-    try:
-        emit = (
-            (lambda row: print(json.dumps(row), file=out)) if out else None
-        )
-        summary = run_campaign(config, emit)
-        if out:
-            print(json.dumps({"summary": summary.as_dict()}), file=out)
-    finally:
-        if out:
-            out.close()
-
-    s = summary.as_dict()
-    print(
-        f"fault campaign: {s['scenarios']} scenarios "
-        f"({s['applied']} applied, {s['rejected']} rejected, "
-        f"{s['aborted']} aborted), {len(s['violations'])} violation(s)",
-        file=sys.stderr,
-    )
-    for v in summary.violations[:20]:
-        print(f"  VIOLATION: {v}", file=sys.stderr)
-    return 0 if summary.ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    yield {
+        "check": "outcomes",
+        "scenarios": sum(outcomes.values()),
+        **outcomes,
+        "problems": [f"no scenario was {o}" for o, n in outcomes.items() if not n],
+    }

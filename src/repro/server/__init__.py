@@ -17,20 +17,22 @@ submit sources once, then address them by fingerprint.
 * :mod:`repro.server.httpd` / :mod:`repro.server.stdio` — the HTTP and
   JSONL-over-stdio front ends, both with graceful drain-on-shutdown;
 * :mod:`repro.server.client` — a stdlib blocking client (the CLI's
-  ``--server`` mode and the CI smoke gate);
+  ``--server`` mode and the smoke and chaos suites);
 * :mod:`repro.server.durable` — the crash-safe store behind
   ``--data-dir``: content-addressed snapshots plus a CRC-framed,
   fsync'd write-ahead journal of applied scripts, with verified
   replay-based recovery on startup;
-* :mod:`repro.server.smoke` — the end-to-end differential gate
-  (``python -m repro.server.smoke``): server output byte-identical to
-  the one-shot CLI, cache hits visible in ``/metrics``, ≥ 32 concurrent
-  requests, graceful shutdown drain;
-* :mod:`repro.server.chaos` — the seeded daemon chaos campaign
-  (``python -m repro.server.chaos``): kill -9 mid-apply, torn/flipped
-  journal bytes, wedged workers, slow-loris clients, overload — each
-  scenario asserting recovery to a verified store and byte-identical
-  diff answers.
+* :mod:`repro.server.smoke` — the ``smoke`` suite of
+  :mod:`repro.campaign` (``python -m repro.campaign smoke``), the
+  end-to-end differential gate on an in-memory and a durable store:
+  server output byte-identical to the one-shot CLI, cache hits visible
+  in ``/metrics``, 32 concurrent requests, graceful shutdown drain —
+  plus the :class:`~repro.server.smoke.Daemon` subprocess helper;
+* :mod:`repro.server.chaos` — the seeded ``chaos`` suite
+  (``python -m repro.campaign chaos --seed N``): kill -9 mid-apply,
+  torn/flipped journal bytes, wedged workers, slow-loris clients,
+  overload — each scenario asserting recovery to a verified store and
+  byte-identical diff answers.
 
 Start one with ``python -m repro serve`` (see the CLI docs).
 """

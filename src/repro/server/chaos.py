@@ -1,15 +1,16 @@
-"""Seeded process-level chaos campaign for the diff daemon (the CI
-``server-chaos`` job; runnable locally as ``python -m repro.server.chaos``).
+"""The ``chaos`` suite of :mod:`repro.campaign`: seeded process-level
+chaos against the diff daemon.
 
-The fault-injection harness (:mod:`repro.robustness.harness`) attacks
-scripts and trees inside one process; this campaign attacks the *daemon*
-the way production does — with signals, torn disks, dead workers, stalled
-sockets, and too much traffic:
+The ``fault`` suite (:mod:`repro.robustness.harness`) attacks scripts
+and trees inside one process; this suite attacks the *daemon* the way
+production does — with signals, torn disks, dead workers, stalled
+sockets, and too much traffic.  Each scenario is one check:
 
 * ``restart_identity`` — populate a durable store (uploads + a journaled
   apply), SIGKILL the daemon, restart from the same ``--data-dir``:
-  the tree set, every ``verify``, and every frozen diff answer must be
-  byte-identical to pre-crash (and to one-shot ``repro diff --json``);
+  recovery must be clean, and the tree set, every ``verify``, and every
+  frozen diff answer must be byte-identical to pre-crash (and to
+  one-shot ``repro diff --json``);
 * ``kill9_mid_apply`` — SIGKILL mid-apply-stream: every apply the
   daemon *acknowledged* must survive the restart (the fsync-before-ack
   contract), unacknowledged ones may simply not exist;
@@ -20,7 +21,9 @@ sockets, and too much traffic:
   recovery reports the damage (CRC/fingerprint) and never goes down;
 * ``worker_kill`` — SIGKILL a pool worker with ≥ 12 requests in flight:
   every request gets correct bytes or a structured ``unavailable``,
-  never a hang, and the rebuilt pool serves the next request;
+  never a hang, and the rebuilt pool serves the next request.  On Linux,
+  where ``/proc`` shows the workers, a scenario that finds none fails
+  rather than skips;
 * ``slow_loris`` — stalled half-sent requests must time out (408) while
   concurrent well-behaved requests keep being served;
 * ``overload_shed`` — with ``--max-inflight 1``, a 12-way burst yields
@@ -28,108 +31,42 @@ sockets, and too much traffic:
   backoff-retrying client gets through;
 * ``overhead`` — the durable store's write path (same put/apply mix the
   smoke gate drives) is timed against the in-memory store and gated at
-  ``--max-overhead-pct`` (default 25%).
+  :data:`MAX_OVERHEAD_PCT`.
 
-Everything is derived from ``--seed``; one JSON row per scenario goes to
-``--out``.  Exit status: 0 all scenarios recovered, 1 otherwise.
+Every daemon a scenario starts is stopped when the scenario ends, on
+every exit path.  Everything derives from the seed::
+
+    PYTHONPATH=src python -m repro.campaign chaos --seed 20260808
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
 import shutil
 import signal
 import socket
-import subprocess
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator
 from urllib.parse import urlsplit
 
+from repro.corpus import seeded_cases
 from repro.robustness import flip_byte, truncate_tail
 
 from .client import ClientError, ServerClient
-from .smoke import LISTENING, cli_diff_json, metric_value
+from .smoke import Daemon, cli_diff_json, metric_value
+
+#: the durable store's write path may cost at most this much over the
+#: in-memory store's
+MAX_OVERHEAD_PCT = 25.0
 
 
 # ---------------------------------------------------------------------------
-# daemon + corpus plumbing
-
-
-class Daemon:
-    """One ``python -m repro serve`` subprocess with its stderr drained."""
-
-    def __init__(
-        self,
-        *extra: str,
-        data_dir: Optional[Path] = None,
-        startup_timeout: float = 30.0,
-    ) -> None:
-        argv = [sys.executable, "-m", "repro", "serve", "--port", "0", *extra]
-        if data_dir is not None:
-            argv += ["--data-dir", str(data_dir)]
-        # own session => killpg can take out pool workers too, exactly
-        # like an operator's `kill -9 -<pgid>` (workers also self-exit
-        # via the pool's parent-death watchdog, but a chaos scenario
-        # should not have to wait out its poll interval)
-        self.proc = subprocess.Popen(
-            argv, stderr=subprocess.PIPE, text=True, start_new_session=True
-        )
-        self.stderr_lines: list[str] = []
-        self.base_url: Optional[str] = None
-        self._ready = threading.Event()
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-        if not self._ready.wait(startup_timeout) or self.base_url is None:
-            self.proc.kill()
-            self.proc.wait()
-            raise RuntimeError(
-                "daemon never reported a listening address; stderr: "
-                + "".join(self.stderr_lines[-5:])
-            )
-
-    def _drain(self) -> None:
-        assert self.proc.stderr is not None
-        for line in self.proc.stderr:
-            self.stderr_lines.append(line)
-            if self.base_url is None:
-                match = LISTENING.search(line)
-                if match:
-                    self.base_url = match.group(1)
-                    self._ready.set()
-        self._ready.set()
-
-    def client(self, **kwargs: Any) -> ServerClient:
-        assert self.base_url is not None
-        return ServerClient(self.base_url, **kwargs)
-
-    def sigkill(self) -> None:
-        """SIGKILL the daemon *and* its pool workers: no drain, no
-        atexit, no flush — and no orphan still holding the data-dir
-        flock when the next daemon starts."""
-        self._killpg()
-        self.proc.wait()
-
-    def _killpg(self) -> None:
-        try:
-            os.killpg(self.proc.pid, signal.SIGKILL)
-        except (OSError, AttributeError):
-            self.proc.kill()
-
-    def stop(self) -> None:
-        if self.proc.poll() is None:
-            try:
-                self.client(retries=0, timeout_s=10).shutdown()
-                self.proc.wait(timeout=30)
-            except (ClientError, subprocess.TimeoutExpired, OSError):
-                self._killpg()
-                self.proc.wait()
+# plumbing
 
 
 def worker_pids(daemon_pid: int) -> list[int]:
@@ -162,25 +99,6 @@ def worker_pids(daemon_pid: int) -> list[int]:
     return sorted(pids)
 
 
-def corpus_docs(seed: int, n: int, *, big: bool = False) -> list[tuple[str, str]]:
-    """Reproducible (before, after) source pairs from the synthetic
-    Python corpus (same derivation style as the robustness harness)."""
-    from repro.corpus import GeneratorConfig, generate_module, mutate_source
-
-    config = (
-        GeneratorConfig(n_functions=(14, 18), n_classes=(2, 3))
-        if big
-        else GeneratorConfig(n_functions=(3, 6), n_classes=(0, 2))
-    )
-    docs = []
-    for i in range(n):
-        before = generate_module(seed + i, config)
-        rng = random.Random(seed * 1_000_003 + i)
-        after, _ = mutate_source(before, rng, n_edits=rng.randint(2, 6))
-        docs.append((before, after))
-    return docs
-
-
 def local_script(before: str, after: str) -> str:
     """The truechange script transforming ``before`` into ``after``,
     computed entirely client-side (so applying it server-side produces a
@@ -205,11 +123,10 @@ def journal_segments(data_dir: Path) -> list[Path]:
 
 def scenario_restart_identity(seed: int, workdir: Path) -> tuple[list[str], dict]:
     data_dir = workdir / "restart-identity"
-    docs = corpus_docs(seed, 4)
+    docs = [(b, a) for b, (a,) in seeded_cases(seed, 4, "medium")]
     problems: list[str] = []
 
-    daemon = Daemon("--workers", "2", data_dir=data_dir)
-    try:
+    with Daemon("--workers", "2", data_dir=data_dir) as daemon:
         client = daemon.client()
         fps = []
         for before, after in docs:
@@ -223,11 +140,9 @@ def scenario_restart_identity(seed: int, workdir: Path) -> tuple[list[str], dict
         pre_trees = sorted(
             (t["fingerprint"], t["nodes"]) for t in client.list_trees()
         )
-    finally:
         daemon.sigkill()
 
-    daemon = Daemon("--workers", "2", data_dir=data_dir)
-    try:
+    with Daemon("--workers", "2", data_dir=data_dir) as daemon:
         client = daemon.client()
         health = client.health()
         recovery = health.get("recovery") or {}
@@ -260,47 +175,43 @@ def scenario_restart_identity(seed: int, workdir: Path) -> tuple[list[str], dict
             problems.append(f"one-shot CLI diff failed (exit {rc})")
         elif client.diff_raw(fps[0][0], fps[0][1]) != cli_out:
             problems.append("post-restart server diff is not byte-identical to the CLI")
-    finally:
-        daemon.stop()
     return problems, {"trees": len(pre_trees), "recovery": recovery}
 
 
 def scenario_kill9_mid_apply(seed: int, workdir: Path) -> tuple[list[str], dict]:
     data_dir = workdir / "kill9-mid-apply"
-    base, _ = corpus_docs(seed + 100, 1)[0]
+    base = seeded_cases(seed + 100, 1, "medium")[0][0]
     problems: list[str] = []
-
-    daemon = Daemon(data_dir=data_dir)
-    client = daemon.client(retries=0)
-    base_fp = client.put_tree(base, "base.py")["fingerprint"]
-    variants = [base + f"\nchaos_apply_{i} = {i}\n" for i in range(12)]
-    scripts = [local_script(base, v) for v in variants]
-
     acked: list[str] = []
-    stop = threading.Event()
 
-    def apply_stream() -> None:
-        for script in scripts:
-            if stop.is_set():
-                return
-            try:
-                acked.append(client.apply(base_fp, json.loads(script))["fingerprint"])
-            except (ClientError, OSError):
-                return  # killed mid-request: that apply was never acked
+    with Daemon(data_dir=data_dir) as daemon:
+        client = daemon.client(retries=0)
+        base_fp = client.put_tree(base, "base.py")["fingerprint"]
+        variants = [base + f"\nchaos_apply_{i} = {i}\n" for i in range(12)]
+        scripts = [local_script(base, v) for v in variants]
+        stop = threading.Event()
 
-    thread = threading.Thread(target=apply_stream)
-    thread.start()
-    deadline = time.time() + 30
-    while len(acked) < 3 and thread.is_alive() and time.time() < deadline:
-        time.sleep(0.002)
-    daemon.sigkill()  # mid-stream, possibly mid-record
-    stop.set()
-    thread.join(30)
+        def apply_stream() -> None:
+            for script in scripts:
+                if stop.is_set():
+                    return
+                try:
+                    acked.append(client.apply(base_fp, json.loads(script))["fingerprint"])
+                except (ClientError, OSError):
+                    return  # killed mid-request: that apply was never acked
+
+        thread = threading.Thread(target=apply_stream)
+        thread.start()
+        deadline = time.time() + 30
+        while len(acked) < 3 and thread.is_alive() and time.time() < deadline:
+            time.sleep(0.002)
+        daemon.sigkill()  # mid-stream, possibly mid-record
+        stop.set()
+        thread.join(30)
     if len(acked) < 1:
         problems.append("no apply was acknowledged before the kill (scenario vacuous)")
 
-    daemon = Daemon(data_dir=data_dir)
-    try:
+    with Daemon(data_dir=data_dir) as daemon:
         client = daemon.client()
         recovery = (client.health().get("recovery") or {})
         for fp in acked:
@@ -317,8 +228,6 @@ def scenario_kill9_mid_apply(seed: int, workdir: Path) -> tuple[list[str], dict]
         for t in client.list_trees():
             if not client.verify(t["fingerprint"])["ok"]:
                 problems.append(f"recovered tree {t['fingerprint'][:12]} fails verify")
-    finally:
-        daemon.stop()
     return problems, {"acked": len(acked), "recovery": recovery}
 
 
@@ -332,21 +241,21 @@ def _damaged_journal_scenario(
     two applies, damage the segment bytes, restart, assert the daemon
     comes up on a verified store and *reports* the damage."""
     data_dir = workdir / name
-    base, other = corpus_docs(seed + 200, 1)[0]
+    [(base, (other,))] = seeded_cases(seed + 200, 1, "medium")
     problems: list[str] = []
 
-    daemon = Daemon(data_dir=data_dir)
-    client = daemon.client()
-    base_fp = client.put_tree(base, "base.py")["fingerprint"]
-    other_fp = client.put_tree(other, "other.py")["fingerprint"]
-    acked = [
-        client.apply(base_fp, json.loads(local_script(base, base + f"\nx{i} = {i}\n")))[
-            "fingerprint"
+    with Daemon(data_dir=data_dir) as daemon:
+        client = daemon.client()
+        base_fp = client.put_tree(base, "base.py")["fingerprint"]
+        other_fp = client.put_tree(other, "other.py")["fingerprint"]
+        acked = [
+            client.apply(base_fp, json.loads(local_script(base, base + f"\nx{i} = {i}\n")))[
+                "fingerprint"
+            ]
+            for i in range(2)
         ]
-        for i in range(2)
-    ]
-    expected_diff = client.diff_raw(base_fp, other_fp)
-    daemon.sigkill()
+        expected_diff = client.diff_raw(base_fp, other_fp)
+        daemon.sigkill()
 
     segments = journal_segments(data_dir)
     if not segments:
@@ -357,8 +266,7 @@ def _damaged_journal_scenario(
     damaged, detail = damage(data, rng)
     target.write_bytes(damaged)
 
-    daemon = Daemon(data_dir=data_dir)
-    try:
+    with Daemon(data_dir=data_dir) as daemon:
         client = daemon.client()
         recovery = (client.health().get("recovery") or {})
         reported = (
@@ -381,8 +289,6 @@ def _damaged_journal_scenario(
                 problems.append(f"tree {t['fingerprint'][:12]} fails verify after {name}")
         if client.diff_raw(base_fp, other_fp) != expected_diff:
             problems.append(f"diff answer changed after {name} recovery")
-    finally:
-        daemon.stop()
     return problems, {
         "detail": str(detail),
         "recovered_applies": recovery.get("applies_replayed"),
@@ -422,10 +328,9 @@ def scenario_flip_byte(seed: int, workdir: Path) -> tuple[list[str], dict]:
 
 def scenario_worker_kill(seed: int, workdir: Path) -> tuple[list[str], dict]:
     problems: list[str] = []
-    docs = corpus_docs(seed + 300, 2, big=True)
+    docs = [(b, a) for b, (a,) in seeded_cases(seed + 300, 2, "big")]
 
-    daemon = Daemon("--workers", "2")
-    try:
+    with Daemon("--workers", "2") as daemon:
         client = daemon.client(retries=0)
         fps = []
         for before, after in docs:
@@ -441,6 +346,8 @@ def scenario_worker_kill(seed: int, workdir: Path) -> tuple[list[str], dict]:
             pids = worker_pids(daemon.proc.pid)
             time.sleep(0.05)
         if not pids:
+            if sys.platform.startswith("linux"):
+                return ["no pool worker visible under /proc to kill"], {}
             return [], {"skipped": "no /proc children visibility on this platform"}
 
         n = 12
@@ -486,17 +393,14 @@ def scenario_worker_kill(seed: int, workdir: Path) -> tuple[list[str], dict]:
         retry_client = daemon.client(retries=5, rng=random.Random(seed))
         if retry_client.diff_raw(*fps[0]) != expected[fps[0]]:
             problems.append("post-rebuild diff is not byte-identical")
-    finally:
-        daemon.stop()
     return problems, {"workers_seen": len(pids), "outcomes": outcomes}
 
 
 def scenario_slow_loris(seed: int, workdir: Path) -> tuple[list[str], dict]:
     problems: list[str] = []
-    before, after = corpus_docs(seed + 400, 1)[0]
+    [(before, (after,))] = seeded_cases(seed + 400, 1, "medium")
 
-    daemon = Daemon("--header-timeout", "1.0")
-    try:
+    with Daemon("--header-timeout", "1.0") as daemon:
         parts = urlsplit(daemon.base_url)
         stalled = []
         for _ in range(6):
@@ -529,17 +433,14 @@ def scenario_slow_loris(seed: int, workdir: Path) -> tuple[list[str], dict]:
         slow = metric_value(client.metrics(), "repro_server_http_slow_clients_total")
         if slow < 1:
             problems.append(f"slow_clients counter not incremented (got {slow})")
-    finally:
-        daemon.stop()
     return problems, {"stalled": 6, "timed_out": timed_out, "counter": slow}
 
 
 def scenario_overload_shed(seed: int, workdir: Path) -> tuple[list[str], dict]:
     problems: list[str] = []
-    before, after = corpus_docs(seed + 500, 1, big=True)[0]
+    [(before, (after,))] = seeded_cases(seed + 500, 1, "big")
 
-    daemon = Daemon("--max-inflight", "1")
-    try:
+    with Daemon("--max-inflight", "1") as daemon:
         client = daemon.client(retries=0, timeout_s=120)
         fb = client.put_tree(before, "b.py")["fingerprint"]
         fa = client.put_tree(after, "a.py")["fingerprint"]
@@ -590,20 +491,16 @@ def scenario_overload_shed(seed: int, workdir: Path) -> tuple[list[str], dict]:
         )
         if shed and shed_metric < 1:
             problems.append("shed counter not incremented")
-    finally:
-        daemon.stop()
     return problems, {"shed": shed, "succeeded": succeeded}
 
 
-def scenario_overhead(
-    seed: int, workdir: Path, max_overhead_pct: float = 25.0
-) -> tuple[list[str], dict]:
+def scenario_overhead(seed: int, workdir: Path) -> tuple[list[str], dict]:
     """The durable store's write path vs the in-memory store on the same
     put/apply mix the server smoke gate drives (parse-heavy uploads plus
     journaled applies), best-of-3 to shave scheduler noise."""
     from .store import TreeStore
 
-    docs = corpus_docs(seed + 600, 6)
+    docs = [(b, a) for b, (a,) in seeded_cases(seed + 600, 6, "medium")]
     scripts = [local_script(b, a) for b, a in docs]
     from repro.core.serialize import script_from_json
 
@@ -637,10 +534,10 @@ def scenario_overhead(
     t_durable = best_of(durable)
     overhead_pct = (t_durable - t_memory) / t_memory * 100 if t_memory else 0.0
     problems = []
-    if overhead_pct > max_overhead_pct:
+    if overhead_pct > MAX_OVERHEAD_PCT:
         problems.append(
             f"durable write overhead {overhead_pct:.1f}% exceeds the "
-            f"{max_overhead_pct:.0f}% gate (memory {t_memory * 1000:.1f} ms, "
+            f"{MAX_OVERHEAD_PCT:.0f}% gate (memory {t_memory * 1000:.1f} ms, "
             f"durable {t_durable * 1000:.1f} ms)"
         )
     return problems, {
@@ -662,92 +559,8 @@ SCENARIOS: dict[str, Callable[[int, Path], tuple[list[str], dict]]] = {
 }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.server.chaos",
-        description="seeded process-level chaos campaign for the diff daemon",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed")
-    parser.add_argument(
-        "--scenarios",
-        default=None,
-        help="comma-separated subset to run (default: all: %s)"
-        % ",".join(SCENARIOS),
-    )
-    parser.add_argument(
-        "--out", default=None, help="write one JSON object per scenario to this file"
-    )
-    parser.add_argument(
-        "--max-overhead-pct",
-        type=float,
-        default=25.0,
-        help="durable-store write overhead gate (default 25)",
-    )
-    args = parser.parse_args(argv)
-
-    names = list(SCENARIOS)
-    if args.scenarios:
-        names = [n.strip() for n in args.scenarios.split(",") if n.strip()]
-        unknown = [n for n in names if n not in SCENARIOS]
-        if unknown:
-            print(f"chaos: unknown scenario(s): {unknown}", file=sys.stderr)
-            return 2
-
-    workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-    out = open(args.out, "w", encoding="utf8") if args.out else None
-    unrecovered: list[str] = []
-    try:
-        for name in names:
-            t0 = time.perf_counter()
-            try:
-                if name == "overhead":
-                    problems, extra = scenario_overhead(
-                        args.seed, workdir, args.max_overhead_pct
-                    )
-                else:
-                    problems, extra = SCENARIOS[name](args.seed, workdir)
-            except Exception as exc:  # noqa: BLE001 - a crashed scenario IS a failure
-                problems, extra = [f"scenario crashed: {type(exc).__name__}: {exc}"], {}
-            row = {
-                "scenario": name,
-                "seed": args.seed,
-                "ok": not problems,
-                "problems": problems,
-                "elapsed_s": round(time.perf_counter() - t0, 3),
-                **extra,
-            }
-            status = "ok" if not problems else "FAIL"
-            print(f"chaos: {name}: {status} ({row['elapsed_s']}s)", flush=True)
-            for p in problems:
-                print(f"chaos:   PROBLEM: {p}", file=sys.stderr)
-                unrecovered.append(f"{name}: {p}")
-            if out:
-                print(json.dumps(row, default=str), file=out, flush=True)
-        if out:
-            print(
-                json.dumps(
-                    {
-                        "summary": {
-                            "scenarios": len(names),
-                            "unrecovered": unrecovered,
-                            "ok": not unrecovered,
-                        }
-                    }
-                ),
-                file=out,
-            )
-    finally:
-        if out:
-            out.close()
-        shutil.rmtree(workdir, ignore_errors=True)
-
-    print(
-        f"chaos campaign: {len(names)} scenario(s), "
-        f"{len(unrecovered)} unrecovered problem(s)",
-        file=sys.stderr,
-    )
-    return 0 if not unrecovered else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def checks(seed: int, workdir: Path) -> Iterator[dict[str, Any]]:
+    """One row per scenario."""
+    for name, scenario in SCENARIOS.items():
+        problems, detail = scenario(seed, workdir)
+        yield {"check": name, **detail, "problems": problems}

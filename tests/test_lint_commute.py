@@ -15,7 +15,7 @@ from repro.core import (
     merge_scripts,
     tnode_to_mtree,
 )
-from repro.analysis import commute_conflicts, commutes, script_footprint
+from repro.analysis import commute_conflicts, commutes, script_effects
 
 from .util import EXP
 
@@ -38,13 +38,15 @@ class TestFootprint:
                 Unload(kid1.node, (), (("n", 1),)),
             ]
         )
-        fp = script_footprint(script)
-        assert fp.slots == {(base.uri, "e1")}
-        assert fp.positions == {kid1.uri}  # fresh is the script's own load
-        assert fp.contents == {kid2.uri}
-        assert fp.destroyed == {kid1.uri}
-        assert fp.loaded == {fresh.uri}
-        assert fp.touched == {base.uri, kid1.uri, kid2.uri}
+        fx = script_effects(script)
+        assert fx.slot_writes == {(base.uri, "e1")}
+        assert fx.moves == {kid1.uri}  # fresh is the script's own load
+        assert fx.lit_writes == {kid2.uri}
+        assert fx.destroys == {kid1.uri}
+        assert fx.fresh == {fresh.uri}
+        # the Update's old value and the Unload's literal check are reads
+        assert fx.lit_reads == {kid1.uri, kid2.uri}
+        assert fx.touched == {base.uri, kid1.uri, kid2.uri}
 
     def test_canonicalization_discounts_self_cancelling_noise(self):
         base, kid1, _ = make_base()
@@ -54,17 +56,17 @@ class TestFootprint:
                 Attach(kid1.node, "e1", base.node),
             ]
         )
-        raw = script_footprint(noise, canonicalize=False)
-        assert raw.slots and raw.positions
-        fp = script_footprint(noise)
-        assert not fp.touched and not fp.slots
+        raw = script_effects(noise, canonicalize=False)
+        assert raw.slot_writes and raw.moves
+        fx = script_effects(noise)
+        assert not fx.touched and not fx.slot_writes
 
     def test_load_kid_bindings_consume_positions(self):
         _, kid1, _ = make_base()
         fresh = Node("Neg", EXP.sigs.urigen.fresh())
         script = EditScript([Load(fresh, (("e", kid1.uri),), ())])
-        fp = script_footprint(script)
-        assert kid1.uri in fp.positions
+        fx = script_effects(script)
+        assert kid1.uri in fx.moves
 
 
 class TestCommutation:

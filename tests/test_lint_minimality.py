@@ -55,11 +55,13 @@ class TestFrozenBenchmarkCorpus:
 
 class TestSyntheticCorpus:
     def test_robustness_corpus_scripts_are_lint_clean(self):
-        from repro.robustness.harness import corpus_cases
+        from repro.adapters.pyast import parse_python
+        from repro.corpus import seeded_cases
 
-        for i, (src, dst, sigs) in enumerate(corpus_cases(6, seed=20260806)):
-            script, _ = diff(src, dst)
-            assert_lint_clean(script, sigs, f"case {i}")
+        for i, (before, (after,)) in enumerate(seeded_cases(20260806, 6)):
+            src = parse_python(before)
+            script, _ = diff(src, parse_python(after))
+            assert_lint_clean(script, src.sigs, f"case {i}")
             assert not minimize(script).changed
 
 

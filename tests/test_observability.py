@@ -1,10 +1,9 @@
 """Tests for the observability layer: instruments, registry semantics,
-sinks/exporters, and the instrumentation wired into diff, patch,
+exporters, and the instrumentation wired into diff, patch,
 sessions, and the incremental engine."""
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import threading
@@ -17,9 +16,6 @@ from repro.core import DiffSession, URIGen, apply_script, diff, tnode_to_mtree
 from repro.core.diff import _dealias
 from repro.incremental import IncrementalDriver, install_descendants
 from repro.observability import (
-    EventLogSink,
-    InMemorySink,
-    JSONFileSink,
     NOOP_SPAN,
     OBS,
     metrics,
@@ -159,12 +155,6 @@ class TestRegistrySemantics:
         c.inc()  # the same object keeps working after reset
         assert c.value == 1
 
-    def test_reset_detaches_sinks(self):
-        sink = InMemorySink()
-        obs.enable(sink)
-        obs.reset()
-        assert sink not in metrics().sinks
-
     def test_disable_keeps_values(self):
         obs.enable()
         metrics().counter("t.keep").inc(3)
@@ -178,14 +168,6 @@ class TestRegistrySemantics:
         assert set(snap) == {"counters", "gauges", "histograms"}
         names = [n for n in snap["counters"] if n.startswith("t.")]
         assert names == sorted(names)
-
-    def test_export_pushes_snapshot_to_sinks(self):
-        sink = InMemorySink()
-        obs.enable(sink)
-        metrics().counter("t.exported").inc()
-        snap = obs.export()
-        assert sink.snapshots == [snap]
-        assert snap["counters"]["t.exported"] == 1
 
 
 # -- diff / patch / session instrumentation ----------------------------------
@@ -377,48 +359,43 @@ class TestIncrementalInstrumentation:
         )
 
 
-# -- sinks and exporters -----------------------------------------------------
+# -- exporters -------------------------------------------------------------
 
 
 class TestSinks:
+    """Where span events and snapshots land now that the pluggable
+    sinks are gone: the trace buffer and the ``repro stats --out`` file."""
+
     def test_in_memory_sink_receives_span_events(self):
-        sink = InMemorySink()
-        obs.enable(sink)
-        with span("t.evt"):
-            pass
-        assert len(sink.events) == 1
-        name, start, dur_ms, epoch, status = sink.events[0]
-        assert name == "t.evt"
-        assert dur_ms >= 0.0
-        assert epoch > 1_000_000_000  # wall-clock seconds, not perf_counter
-        assert status == "ok"
+        obs.enable()
+        obs.enable_tracing()
+        try:
+            with span("t.evt"):
+                pass
+            (rec,) = obs.take_spans()
+        finally:
+            obs.disable_tracing()
+            obs.reset_tracing()
+        assert rec["name"] == "t.evt"
+        assert rec["dur_ms"] >= 0.0
+        assert rec["start"] > 1_000_000_000  # wall-clock seconds, not perf_counter
+        assert rec["status"] == "ok"
+        # the same closed span also fed its histogram: one event, two views
+        assert obs.snapshot()["histograms"]["t.evt.ms"]["count"] == 1
 
-    def test_event_log_sink_line_format(self):
-        buf = io.StringIO()
-        sink = EventLogSink(buf)
-        obs.enable(sink)
-        with span("t.line"):
-            pass
-        sink.close()
-        line = buf.getvalue().strip()
-        assert re.fullmatch(r"\d+\.\d{6} \d+\.\d{6} t\.line \d+\.\d{3}", line)
+    def test_json_file_sink_export(self, tmp_path, capsys):
+        from repro.__main__ import main
 
-    def test_event_log_sink_to_path(self, tmp_path):
-        path = tmp_path / "spans.log"
-        sink = EventLogSink(str(path))
-        obs.enable(sink)
-        with span("t.file"):
-            pass
-        sink.close()
-        assert "t.file" in path.read_text()
-
-    def test_json_file_sink_export(self, tmp_path):
+        before, after = tmp_path / "before.py", tmp_path / "after.py"
+        before.write_text("def f(x):\n    return x + 1\n")
+        after.write_text("def f(x, y=0):\n    return x + y\n")
         path = tmp_path / "snap.json"
-        obs.enable(JSONFileSink(str(path)))
-        metrics().counter("t.json").inc(2)
-        obs.export()
+        argv = ["stats", str(before), str(after), "--rounds", "2"]
+        assert main(argv + ["--json", "--out", str(path)]) == 0
         doc = json.loads(path.read_text())
-        assert doc["counters"]["t.json"] == 2
+        assert doc == json.loads(capsys.readouterr().out)
+        assert list(doc) == ["counters", "gauges", "histograms"]
+        assert doc["counters"]["repro.diff.count"] == 2
 
 
 class TestExporters:

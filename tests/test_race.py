@@ -437,42 +437,37 @@ class TestRaceCLI:
         assert main(["race", str(tmp_path / "nope.json")]) == 2
 
 
-class TestRaceCampaign:
-    def test_campaign_meets_zero_false_independence_gate(self, tmp_path):
-        """A small seeded campaign run: every pair called independent
-        passes the order-swap differential oracle, wave composition
-        equals the sequential fold, and the artifacts are well-formed."""
-        from repro.analysis.race.campaign import (
-            RaceCampaignConfig,
-            run_race_campaign,
-        )
+@pytest.fixture(scope="module")
+def race_report(tmp_path_factory):
+    """One run of the race suite through the campaign CLI at its CI seed:
+    the exit status, the report's rows, and the output directory."""
+    from repro.campaign import main
 
-        summary, reports = run_race_campaign(
-            RaceCampaignConfig(seed=20260808, cases=2, scripts_per_case=3)
-        )
-        assert summary.ok, summary.as_dict()
-        assert summary.cases == 2 and summary.scripts == 6
-        assert summary.pairs == 6
-        assert summary.false_independents == []
-        assert summary.schedule_divergences == []
+    out = tmp_path_factory.mktemp("race")
+    rc = main(["race", "--seed", "20260808", "--out", str(out)])
+    lines = (out / "race.jsonl").read_text("utf8").splitlines()
+    return rc, [json.loads(line) for line in lines], out
+
+
+class TestRaceCampaign:
+    def test_campaign_meets_zero_false_independence_gate(self, race_report):
+        """The CI run: every pair called independent passes the
+        order-swap differential oracle and wave composition equals the
+        sequential fold."""
+        rc, rows, _ = race_report
+        assert rc == 0
+        assert all(not r["problems"] for r in rows[:-1])
+        totals = next(r for r in rows if r.get("check") == "conflicts")
+        assert totals["cases"] == 6 and totals["scripts"] == 24
+        assert totals["pairs"] == 36
+        assert 0 < totals["independent"] < totals["pairs"]
         # independently-diffed variants collide in fresh-URI space: raw
         # mode must see TR005 somewhere across the corpus
-        assert summary.conflict_counts.get("TR005", 0) > 0
-        log = json.loads(render_race_sarif(reports))
+        assert totals["by_code"].get("TR005", 0) > 0
+
+    def test_campaign_cli_writes_artifacts(self, race_report):
+        _, rows, out = race_report
+        assert rows[-1]["summary"]["ok"] is True
+        log = json.loads((out / "race.sarif").read_text("utf8"))
+        assert log["version"] == "2.1.0"
         assert log["runs"][0]["tool"]["driver"]["name"] == "truerace"
-
-    def test_campaign_cli_writes_artifacts(self, tmp_path):
-        from repro.analysis.race.campaign import main as campaign_main
-
-        sarif = tmp_path / "race.sarif"
-        summary = tmp_path / "summary.json"
-        rc = campaign_main(
-            [
-                "--seed", "20260808", "--cases", "1",
-                "--scripts-per-case", "2",
-                "--out", str(sarif), "--summary-out", str(summary),
-            ]
-        )
-        assert rc == 0
-        assert json.loads(summary.read_text())["ok"] is True
-        assert json.loads(sarif.read_text())["version"] == "2.1.0"

@@ -1,10 +1,12 @@
 """Tests for the fault-injection layer: the script corruptor, the
-replace-root fallback, and the full seeded campaign (the acceptance bar:
-hundreds of corruption/abort scenarios, zero rollback divergence, zero
+replace-root fallback, and the seeded ``fault`` suite run through
+``python -m repro.campaign`` (the acceptance bar: hundreds of
+corruption/abort scenarios, zero rollback divergence, zero
 accepted-but-unverifiable trees)."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -18,8 +20,6 @@ from repro.robustness import (
     replace_root_script,
     tree_fingerprint,
 )
-from repro.robustness.harness import CampaignConfig, run_campaign
-
 from .util import EXP, mutate_exp, random_exp
 
 
@@ -123,6 +123,18 @@ class TestReplaceRootFallback:
         assert len(script) == a.size + b.size
 
 
+@pytest.fixture(scope="module")
+def fault_report(tmp_path_factory):
+    """One run of the fault suite through the campaign CLI at its CI seed:
+    the exit status and the report's rows."""
+    from repro.campaign import main
+
+    out = tmp_path_factory.mktemp("fault")
+    rc = main(["fault", "--seed", "20260806", "--out", str(out)])
+    lines = (out / "fault.jsonl").read_text("utf8").splitlines()
+    return rc, [json.loads(line) for line in lines]
+
+
 class TestCampaign:
     def test_exp_scenarios_hold_invariants(self):
         """Quick Exp-language campaign equivalent: every corruption either
@@ -153,27 +165,30 @@ class TestCampaign:
         assert scenarios == 6 * len(CORRUPTION_KINDS) * 4
         assert violations == 0
 
-    def test_full_campaign_meets_acceptance_bar(self):
-        """The ISSUE acceptance criterion: >= 500 seeded corruption/abort
-        scenarios with zero rollback divergence and zero accepted-but-
-        unverifiable cases, on real Python diff scripts."""
-        summary = run_campaign(CampaignConfig(seed=20260806, cases=9))
-        assert summary.scenarios >= 500
-        assert summary.violations == []
+    def test_full_campaign_meets_acceptance_bar(self, fault_report):
+        """The acceptance bar, at the CI seed through the campaign CLI:
+        >= 500 seeded corruption/abort scenarios with zero rollback
+        divergence and zero accepted-but-unverifiable cases, on real
+        Python diff scripts."""
+        rc, rows = fault_report
+        assert rc == 0
+        assert all(not r["problems"] for r in rows[:-1])
+        outcomes = next(r for r in rows if r.get("check") == "outcomes")
+        assert outcomes["scenarios"] >= 500
         # all three outcome classes must actually be exercised
-        assert summary.applied > 0
-        assert summary.rejected > 0
-        assert summary.aborted > 0
+        assert outcomes["applied"] > 0
+        assert outcomes["rejected"] > 0
+        assert outcomes["aborted"] > 0
 
-    def test_campaign_rows_are_emitted(self):
-        rows = []
-        summary = run_campaign(
-            CampaignConfig(seed=1, cases=1, per_kind=1, injections=2),
-            emit=rows.append,
-        )
-        assert len(rows) == summary.scenarios
+    def test_campaign_rows_are_emitted(self, fault_report):
+        _, rows = fault_report
+        *checks, last = rows
+        scenarios = [r for r in checks if r["check"] != "outcomes"]
+        assert len(scenarios) == checks[-1]["scenarios"]
         assert all(
-            {"case", "mode", "detail", "outcome", "error", "violations"}
+            {"check", "case", "detail", "outcome", "error", "problems"}
             <= set(r)
-            for r in rows
+            for r in scenarios
         )
+        assert last["summary"]["checks"] == len(checks)
+        assert last["summary"]["ok"] is True

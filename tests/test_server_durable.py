@@ -5,8 +5,8 @@ robustness plumbing around it: CRC journal framing, crash-safe snapshots
 the pool's wedged-worker deadline path.
 
 The full crash matrix (kill -9 mid-apply, slow-loris, overload shedding)
-lives in ``python -m repro.server.chaos`` — these tests pin the unit
-semantics the chaos campaign builds on.
+lives in the ``chaos`` suite (``python -m repro.campaign chaos``) —
+these tests pin the unit semantics the chaos suite builds on.
 """
 
 from __future__ import annotations

@@ -409,35 +409,6 @@ class TestReadSpansFormats:
             obs.read_spans(str(path))
 
 
-# -- satellite: event timestamps ------------------------------------------
-
-
-class TestEventLogFormats:
-    def test_parse_new_format(self):
-        line = "1726000000.000001 12.500000 repro.diff 3.250"
-        rec = obs.parse_event_line(line)
-        assert rec == {
-            "epoch": 1726000000.000001,
-            "start": 12.5,
-            "name": "repro.diff",
-            "dur_ms": 3.25,
-            "status": "ok",
-        }
-
-    def test_parse_new_format_with_error(self):
-        rec = obs.parse_event_line("1.0 2.0 t.x 3.0 error=ValueError")
-        assert rec["status"] == "ValueError"
-
-    def test_parse_old_format(self):
-        # the pre-epoch three-field format is no longer written or read
-        assert obs.parse_event_line("12.500000 repro.diff 3.250") is None
-
-    def test_parse_garbage_is_none(self):
-        assert obs.parse_event_line("") is None
-        assert obs.parse_event_line("one two") is None
-        assert obs.parse_event_line("a b c d") is None
-
-
 # -- satellite: prometheus hardening --------------------------------------
 
 
