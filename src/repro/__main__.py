@@ -583,11 +583,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CLIError("--sample", str(exc)) from None
     if args.data_dir:
-        from repro.server.durable import DataDirLocked, DurableTreeStore
+        from repro.server.durable import DataDirFormatError, DataDirLocked, DurableTreeStore
 
         try:
             store = DurableTreeStore(args.data_dir, max_trees=args.store_max)
-        except DataDirLocked as exc:
+        except (DataDirLocked, DataDirFormatError) as exc:
             raise CLIError(args.data_dir, str(exc)) from None
         except OSError as exc:
             raise CLIError(args.data_dir, f"cannot open data dir: {exc}") from None
@@ -601,12 +601,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     else:
         store = TreeStore(max_trees=args.store_max)
+    gc_pauses = obs.GCPauses()
     service = ReproService(
         store,
         workers=args.workers,
         collector=collector,
         op_timeout_s=args.request_timeout or None,
+        gc_pauses=gc_pauses,
     )
+    # one collector hook for the daemon's life: /metrics reports GC pauses
+    gc_pauses.install()
     try:
         if args.stdio:
             asyncio.run(run_stdio_daemon(service))
@@ -635,6 +639,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass  # drain already handled by the signal path where available
     finally:
+        gc_pauses.uninstall()
         obs.disable_tracing()
         obs.disable()
         obs.reset()

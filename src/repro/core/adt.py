@@ -287,20 +287,38 @@ class Grammar:
 
     def parse_tuple(self, data: Union[tuple, str]) -> TNode:
         """Build a tree from the nested-tuple format ``(tag, kids, lits)``
-        produced by :meth:`TNode.to_tuple` (URIs are re-generated)."""
-        if isinstance(data, str):
-            return self.build(data)
-        tag, kids, lits = data
-        if isinstance(tag, tuple):
-            tag = tag[0]
-        sig = self.sigs[tag]
-        kid_map = {l: self.parse_tuple(k) for l, k in kids}
-        lit_map = dict(lits)
-        return self.build(
-            tag,
-            [kid_map[l] for l in sig.kid_links_for(len(kid_map))],
-            [lit_map[l] for l in sig.lit_links],
-        )
+        produced by :meth:`TNode.to_tuple` (URIs are re-generated).
+
+        Iterative post-order: each kid is built, and draws its fresh URI,
+        in tuple order before its parent, so deep trees need no recursion.
+        """
+        stack: list[tuple[Union[tuple, str], bool]] = [(data, False)]
+        built: list[TNode] = []
+        while stack:
+            item, post = stack.pop()
+            if isinstance(item, str):
+                built.append(self.build(item))
+                continue
+            tag, kids, lits = item
+            if not post:
+                stack.append((item, True))
+                stack.extend((k, False) for _, k in reversed(kids))
+                continue
+            if isinstance(tag, tuple):
+                tag = tag[0]
+            sig = self.sigs[tag]
+            at = len(built) - len(kids)
+            kid_map = {l: k for (l, _), k in zip(kids, built[at:])}
+            del built[at:]
+            lit_map = dict(lits)
+            built.append(
+                self.build(
+                    tag,
+                    [kid_map[l] for l in sig.kid_links_for(len(kid_map))],
+                    [lit_map[l] for l in sig.lit_links],
+                )
+            )
+        return built[0]
 
     # -- decorator front-end ----------------------------------------------------
 

@@ -134,14 +134,31 @@ class MNode:
         With ``with_uris=False`` this implements the paper's ``≃``: equality
         of shape, tags, and literals, ignoring URIs (URIs of the target tree
         are irrelevant, Section 1).
+
+        Iterative (post-order over an explicit stack), like
+        :meth:`TNode.to_tuple`: deep trees must not overflow the C stack.
         """
-        kids = tuple(
-            (l, k.to_tuple(with_uris) if k is not None else None)
-            for l, k in sorted(self.kids.items())
-        )
-        lits = tuple(sorted(self.lits.items(), key=lambda kv: kv[0]))
-        head = (self.tag, self.uri) if with_uris else self.tag
-        return (head, kids, lits)
+        # (node, its sorted kid items once pre-visited, present-kid count)
+        stack: list[tuple[MNode, Optional[list], int]] = [(self, None, 0)]
+        done: list[tuple] = []
+        while stack:
+            n, items, present = stack.pop()
+            if items is None:
+                items = sorted(n.kids.items())
+                kids = [k for _, k in items if k is not None]
+                stack.append((n, items, len(kids)))
+                stack.extend((k, None, 0) for k in reversed(kids))
+                continue
+            at = len(done) - present
+            subs = iter(done[at:])
+            del done[at:]
+            kid_tuples = tuple(
+                (l, None if k is None else next(subs)) for l, k in items
+            )
+            lits = tuple(sorted(n.lits.items(), key=lambda kv: kv[0]))
+            head = (n.tag, n.uri) if with_uris else n.tag
+            done.append((head, kid_tuples, lits))
+        return done[0]
 
     def pretty(self) -> str:
         parts = [f"{v!r}" for _, v in sorted(self.lits.items())]

@@ -455,7 +455,8 @@ class TNode:
         ``start + size``.
 
         Iterative: URIs are assigned at pre-visit (pre-order), nodes are
-        rebuilt at post-visit.
+        rebuilt at post-visit.  The hashes, height and size are copied,
+        not recomputed: renumbering is one allocation per node.
         """
         counter = start
         stack: list[tuple[TNode, bool, int]] = [(self, False, 0)]
@@ -471,14 +472,31 @@ class TNode:
             else:
                 cnt = len(n.kids)
                 if cnt:
-                    kids = results[-cnt:]
+                    kids = tuple(results[-cnt:])
                     del results[-cnt:]
                 else:
-                    kids = []
-                results.append(
-                    TNode(n.sigs, n.sig, kids, n.lits, uri, validate=False)
-                )
+                    kids = ()
+                results.append(n._relabelled(kids, uri))
         return results[0]
+
+    def _relabelled(self, kids: tuple["TNode", ...], uri: URI) -> "TNode":
+        """A copy of this node under ``uri`` whose kids are ``kids`` —
+        relabelled copies of this node's own kids.  URIs enter neither
+        hash, so Step 1's metadata is copied instead of recomputed."""
+        n = TNode.__new__(TNode)
+        n.sigs = self.sigs
+        n.sig = self.sig
+        n.uri = uri
+        n.kids = kids
+        n.lits = self.lits
+        n.height = self.height
+        n.size = self.size
+        n.structure_hash = self.structure_hash
+        n.literal_hash = self.literal_hash
+        n.share = None
+        n.assigned = None
+        n.gen = 0
+        return n
 
     # -- traversal ------------------------------------------------------------
 
@@ -516,13 +534,30 @@ class TNode:
     # -- conversions ------------------------------------------------------------
 
     def to_tuple(self, with_uris: bool = False) -> tuple:
-        """The same snapshot format as :meth:`MNode.to_tuple`."""
-        kids = tuple(
-            (l, k.to_tuple(with_uris)) for l, k in self.kid_items
-        )
-        lits = tuple(sorted(self.lit_items, key=lambda kv: kv[0]))
-        head = (self.tag, self.uri) if with_uris else self.tag
-        return (head, tuple(sorted(kids, key=lambda kv: kv[0])), lits)
+        """The same snapshot format as :meth:`MNode.to_tuple`.
+
+        Iterative (post-order over an explicit stack): a recursive
+        version enters C (``tuple()`` over a generator) at every level,
+        so a deep tree overflows the C stack below the recursion limit.
+        """
+        stack: list[tuple[TNode, bool]] = [(self, False)]
+        done: list[tuple] = []
+        while stack:
+            n, post = stack.pop()
+            if not post:
+                stack.append((n, True))
+                stack.extend((k, False) for k in reversed(n.kids))
+                continue
+            cnt = len(n.kids)
+            if cnt:
+                kids = tuple(zip(n.kid_links, done[-cnt:]))
+                del done[-cnt:]
+            else:
+                kids = ()
+            lits = tuple(sorted(n.lit_items, key=_first))
+            head = (n.tag, n.uri) if with_uris else n.tag
+            done.append((head, tuple(sorted(kids, key=_first)), lits))
+        return done[0]
 
     def pretty(self) -> str:
         parts = [f"{v!r}" for v in self.lits]
@@ -532,6 +567,10 @@ class TNode:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TNode({self.pretty()})"
+
+
+def _first(pair: tuple) -> Any:
+    return pair[0]
 
 
 def subtree_ids(tree: TNode) -> set[int]:

@@ -61,6 +61,7 @@ from .export import (
 from .metrics import (
     OBS,
     Counter,
+    GCPauses,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -93,6 +94,7 @@ __all__ = [
     "REGISTRY",
     "TRACE",
     "Counter",
+    "GCPauses",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

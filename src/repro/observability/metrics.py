@@ -21,7 +21,9 @@ call) before touching any instrument.
 
 from __future__ import annotations
 
+import gc
 import threading
+import time
 from typing import Any, Optional
 
 
@@ -290,6 +292,48 @@ class MetricsRegistry:
             g._reset()
         for h in self._histograms.values():
             h._reset()
+
+
+class GCPauses:
+    """Cyclic-collector pauses, counted by one ``gc.callbacks`` hook.
+
+    The hook keeps plain numbers — collections per generation, total
+    and longest pause — and takes no lock: a collection can start at
+    any allocation, including one made while the registry's single
+    non-reentrant lock is held, so locking there could deadlock.  The
+    numbers reach a registry only through :meth:`publish`, at scrape
+    time.
+    """
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]  # per generation
+        self.pause_total_s = 0.0
+        self.pause_max_s = 0.0
+        self._started = 0.0
+
+    def _on_gc(self, phase: str, info: dict[str, Any]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        pause = time.perf_counter() - self._started
+        self.collections[info["generation"]] += 1
+        self.pause_total_s += pause
+        if pause > self.pause_max_s:
+            self.pause_max_s = pause
+
+    def install(self) -> None:
+        gc.callbacks.append(self._on_gc)
+
+    def uninstall(self) -> None:
+        if self._on_gc in gc.callbacks:
+            gc.callbacks.remove(self._on_gc)
+
+    def publish(self, registry: MetricsRegistry) -> None:
+        """Set the ``repro.gc.*`` gauges from the hook's numbers."""
+        for gen, n in enumerate(self.collections):
+            registry.gauge(f"repro.gc.collections.gen{gen}").set(n)
+        registry.gauge("repro.gc.pause_total_ms").set(self.pause_total_s * 1000.0)
+        registry.gauge("repro.gc.pause_max_ms").set(self.pause_max_s * 1000.0)
 
 
 #: The process-wide registry all instrumented modules publish into.

@@ -3,7 +3,7 @@
 The library → system step the ROADMAP names: instead of one-shot CLI
 invocations that re-parse everything, a persistent asyncio daemon holds
 parsed trees in a :class:`~repro.server.store.TreeStore` keyed by the
-sha256 tree fingerprint, and serves ``diff`` / ``apply`` / ``lint`` /
+root's Step-1 hashes, and serves ``diff`` / ``apply`` / ``lint`` /
 ``verify`` / ``merge`` requests against the cached trees — clients
 submit sources once, then address them by fingerprint.
 
@@ -39,6 +39,7 @@ Start one with ``python -m repro serve`` (see the CLI docs).
 
 from .client import ClientError, ServerClient
 from .durable import (
+    DataDirFormatError,
     DataDirLocked,
     DurableTreeStore,
     RecoveryStats,
@@ -59,6 +60,7 @@ from .store import (
 
 __all__ = [
     "ClientError",
+    "DataDirFormatError",
     "DataDirLocked",
     "DiffPool",
     "DurableTreeStore",

@@ -30,8 +30,9 @@ sockets, and too much traffic.  Each scenario is one check:
   at least one 503 + ``Retry-After`` and at least one success, and a
   backoff-retrying client gets through;
 * ``overhead`` — the durable store's write path (same put/apply mix the
-  smoke gate drives) is timed against the in-memory store and gated at
-  :data:`MAX_OVERHEAD_PCT`.
+  smoke gate drives) is timed against the in-memory store in
+  :data:`OVERHEAD_PAIRS` alternating back-to-back pairs; the median
+  paired overhead is gated at :data:`MAX_OVERHEAD_PCT`.
 
 Every daemon a scenario starts is stopped when the scenario ends, on
 every exit path.  Everything derives from the seed::
@@ -61,8 +62,10 @@ from .client import ClientError, ServerClient
 from .smoke import Daemon, cli_diff_json, metric_value
 
 #: the durable store's write path may cost at most this much over the
-#: in-memory store's
+#: in-memory store's (median over the paired runs)
 MAX_OVERHEAD_PCT = 25.0
+#: back-to-back memory/durable pairs the overhead gate takes a median of
+OVERHEAD_PAIRS = 7
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +161,11 @@ def scenario_restart_identity(seed: int, workdir: Path) -> tuple[list[str], dict
             )
         for (fb, fa), pre in zip(fps, pre_diffs):
             if client.diff_raw(fb, fa) != pre:
-                problems.append(f"diff {fb[:12]}->{fa[:12]} not byte-identical post-restart")
+                problems.append(f"diff {fb[:20]}->{fa[:20]} not byte-identical post-restart")
         for fp, _nodes in post_trees:
             v = client.verify(fp)
             if not v["ok"]:
-                problems.append(f"recovered tree {fp[:12]} fails verify: {v['violations'][:2]}")
+                problems.append(f"recovered tree {fp[:20]} fails verify: {v['violations'][:2]}")
         if not client.verify(acked)["ok"]:
             problems.append("journal-recovered apply result fails verify")
         # the server answer must also match the one-shot CLI byte for byte
@@ -219,15 +222,15 @@ def scenario_kill9_mid_apply(seed: int, workdir: Path) -> tuple[list[str], dict]
                 v = client.verify(fp)
             except ClientError as exc:
                 problems.append(
-                    f"acked apply {fp[:12]} lost across SIGKILL (fsync-before-ack "
+                    f"acked apply {fp[:20]} lost across SIGKILL (fsync-before-ack "
                     f"violated): {exc.status}"
                 )
                 continue
             if not v["ok"]:
-                problems.append(f"acked apply {fp[:12]} recovered but fails verify")
+                problems.append(f"acked apply {fp[:20]} recovered but fails verify")
         for t in client.list_trees():
             if not client.verify(t["fingerprint"])["ok"]:
-                problems.append(f"recovered tree {t['fingerprint'][:12]} fails verify")
+                problems.append(f"recovered tree {t['fingerprint'][:20]} fails verify")
     return problems, {"acked": len(acked), "recovery": recovery}
 
 
@@ -286,7 +289,7 @@ def _damaged_journal_scenario(
             )
         for t in client.list_trees():
             if not client.verify(t["fingerprint"])["ok"]:
-                problems.append(f"tree {t['fingerprint'][:12]} fails verify after {name}")
+                problems.append(f"tree {t['fingerprint'][:20]} fails verify after {name}")
         if client.diff_raw(base_fp, other_fp) != expected_diff:
             problems.append(f"diff answer changed after {name} recovery")
     return problems, {
@@ -378,7 +381,7 @@ def scenario_worker_kill(seed: int, workdir: Path) -> tuple[list[str], dict]:
                 if body == expected[pair]:
                     outcomes["correct"] += 1
                 else:
-                    problems.append(f"mixed-up response for {pair[0][:12]}")
+                    problems.append(f"mixed-up response for {pair[0][:20]}")
             elif isinstance(r, ClientError):
                 if r.status == 503 and r.code == "unavailable":
                     outcomes["unavailable"] += 1
@@ -497,53 +500,71 @@ def scenario_overload_shed(seed: int, workdir: Path) -> tuple[list[str], dict]:
 def scenario_overhead(seed: int, workdir: Path) -> tuple[list[str], dict]:
     """The durable store's write path vs the in-memory store on the same
     put/apply mix the server smoke gate drives (parse-heavy uploads plus
-    journaled applies), best-of-3 to shave scheduler noise."""
+    journaled applies).
+
+    Runs :data:`OVERHEAD_PAIRS` back-to-back memory/durable pairs,
+    alternating which side runs first, and gates the median of the
+    per-pair overheads: host drift lands on both sides of a pair instead
+    of in the ratio."""
+    from repro.bench.stats import summarize
+    from repro.core.serialize import script_from_json
+
+    from .durable import DurableTreeStore
     from .store import TreeStore
 
     docs = [(b, a) for b, (a,) in seeded_cases(seed + 600, 6, "medium")]
-    scripts = [local_script(b, a) for b, a in docs]
-    from repro.core.serialize import script_from_json
+    parsed_scripts = [script_from_json(local_script(b, a)) for b, a in docs]
 
-    parsed_scripts = [script_from_json(s) for s in scripts]
-
-    def drive(store) -> None:
-        for (before, _after), script in zip(docs, parsed_scripts):
-            entry, _ = store.put_source(before, "b.py")
-            store.apply(entry.fingerprint, script)
-
-    def best_of(make_store, rounds: int = 3) -> float:
-        best = float("inf")
-        for i in range(rounds):
-            store = make_store(i)
+    def timed(store) -> float:
+        try:
             t0 = time.perf_counter()
-            drive(store)
-            best = min(best, time.perf_counter() - t0)
+            for (before, _after), script in zip(docs, parsed_scripts):
+                entry, _ = store.put_source(before, "b.py")
+                store.apply(entry.fingerprint, script)
+            return time.perf_counter() - t0
+        finally:
             if hasattr(store, "close"):
                 store.close()
-        return best
 
-    t_memory = best_of(lambda i: TreeStore(max_trees=256))
+    def memory() -> float:
+        return timed(TreeStore(max_trees=256))
 
-    from .durable import DurableTreeStore
-
-    def durable(i: int) -> DurableTreeStore:
+    def durable(i: int) -> float:
         path = workdir / f"overhead-{i}"
         shutil.rmtree(path, ignore_errors=True)
-        return DurableTreeStore(path, max_trees=256)
+        return timed(DurableTreeStore(path, max_trees=256))
 
-    t_durable = best_of(durable)
-    overhead_pct = (t_durable - t_memory) / t_memory * 100 if t_memory else 0.0
+    memory()  # warm-up: first-use caches would bill the first side run
+    pairs: list[tuple[float, float]] = []
+    for i in range(OVERHEAD_PAIRS):
+        if i % 2:
+            t_durable = durable(i)
+            t_memory = memory()
+        else:
+            t_memory = memory()
+            t_durable = durable(i)
+        pairs.append((t_memory, t_durable))
+    overheads = [(d - m) / m * 100 if m else 0.0 for m, d in pairs]
+    spread = summarize("overhead_pct", overheads)
     problems = []
-    if overhead_pct > MAX_OVERHEAD_PCT:
+    if spread.median > MAX_OVERHEAD_PCT:
         problems.append(
-            f"durable write overhead {overhead_pct:.1f}% exceeds the "
-            f"{MAX_OVERHEAD_PCT:.0f}% gate (memory {t_memory * 1000:.1f} ms, "
-            f"durable {t_durable * 1000:.1f} ms)"
+            f"median durable write overhead {spread.median:.1f}% over "
+            f"{len(pairs)} pairs exceeds the {MAX_OVERHEAD_PCT:.0f}% gate "
+            f"(IQR {spread.q1:.1f}% to {spread.q3:.1f}%)"
         )
     return problems, {
-        "memory_ms": round(t_memory * 1000, 2),
-        "durable_ms": round(t_durable * 1000, 2),
-        "overhead_pct": round(overhead_pct, 1),
+        "overhead_pct": round(spread.median, 1),
+        "overhead_iqr_pct": round(spread.q3 - spread.q1, 1),
+        "pairs": [
+            {
+                "first": "durable" if i % 2 else "memory",
+                "memory_ms": round(m * 1000, 2),
+                "durable_ms": round(d * 1000, 2),
+                "overhead_pct": round(o, 1),
+            }
+            for i, ((m, d), o) in enumerate(zip(pairs, overheads))
+        ],
     }
 
 

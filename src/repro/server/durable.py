@@ -7,15 +7,24 @@ content-addressed semantics but backs them with an on-disk layout under
 ``--data-dir``::
 
     data-dir/
+      FORMAT                # layout version (DATA_FORMAT), written first
       LOCK                  # pidfile, flock'd by the live daemon
       trees/<fp>.json       # content-addressed source snapshots
       journal/wal-NNNNNN.log  # append-only CRC-framed apply records
+
+**Format.**  ``FORMAT`` names the layout version; a new dir gets it
+before anything else is written.  A dir of another version — or one
+with ``trees/``/``journal/`` but no ``FORMAT``, written before store
+keys became root hashes — is refused with :class:`DataDirFormatError`
+(``repro serve`` exits 2): there is no migration, and the two formats
+are never mixed.
 
 **Snapshots.**  Every *uploaded* source is written to
 ``trees/<fingerprint>.json`` (tmp-file + ``os.replace`` + fsync) the
 first time its tree enters the store.  Snapshots are the ground truth
 for uploads: recovery re-parses each one and cross-checks the parsed
-tree's :func:`~repro.robustness.tree_fingerprint` against the filed
+tree's store key (:func:`~repro.server.store.fingerprint_tree`, whose
+root hashes the re-parse computes from every node) against the filed
 fingerprint — a mismatch (bit rot, a hand-edited file) is
 skipped-and-counted, never fatal.
 
@@ -88,6 +97,24 @@ class DataDirLocked(StoreError):
         super().__init__(f"data dir already locked by a running daemon{owner}: {path.parent}")
         self.path = path
         self.pid = pid
+
+
+#: On-disk layout version, kept in ``data-dir/FORMAT``: 2 files trees
+#: under :func:`~repro.server.store.fingerprint_tree`; 1 (no ``FORMAT``)
+#: filed them under the sha256 of the MTree state.
+DATA_FORMAT = 2
+
+
+class DataDirFormatError(StoreError):
+    """The data dir was written in another on-disk layout version."""
+
+    def __init__(self, path: Path, found: str) -> None:
+        super().__init__(
+            f"data dir {path} has format {found}, this daemon reads format "
+            f"{DATA_FORMAT}; serve from a new --data-dir (formats are never mixed)"
+        )
+        self.path = path
+        self.found = found
 
 
 # -- journal framing --------------------------------------------------------
@@ -210,8 +237,7 @@ class DurableTreeStore(TreeStore):
         self.data_dir = Path(data_dir)
         self.trees_dir = self.data_dir / "trees"
         self.journal_dir = self.data_dir / "journal"
-        self.trees_dir.mkdir(parents=True, exist_ok=True)
-        self.journal_dir.mkdir(parents=True, exist_ok=True)
+        self.data_dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.segment_max_bytes = max(4096, segment_max_bytes)
         self.compact_total_bytes = max(self.segment_max_bytes, compact_total_bytes)
@@ -232,14 +258,17 @@ class DurableTreeStore(TreeStore):
         self._publish_cv = threading.Condition()
         self._publishing = 0
         self._lockfile = None
-        if lock:
-            self._acquire_lock()
-        #: fingerprints with an on-disk snapshot (journal records for
-        #: these are redundant and skipped at append time)
-        self._snapshots: set[str] = {p.stem for p in self.trees_dir.glob("*.json")}
         self._active_fh = None
         self._persist = False
+        if lock:
+            self._acquire_lock()
         try:
+            self._check_format()
+            self.trees_dir.mkdir(exist_ok=True)
+            self.journal_dir.mkdir(exist_ok=True)
+            #: fingerprints with an on-disk snapshot (journal records for
+            #: these are redundant and skipped at append time)
+            self._snapshots: set[str] = {p.stem for p in self.trees_dir.glob("*.json")}
             self.recovery = self._recover()
             self._open_active_segment()
             self._persist = True
@@ -274,6 +303,21 @@ class DurableTreeStore(TreeStore):
         fh.flush()
         self._lockfile = fh
 
+    def _check_format(self) -> None:
+        """Refuse a data dir of another layout version; mark a new one.
+        A version-1 dir opened as version 2 would skip every snapshot as
+        a fingerprint mismatch and silently start empty."""
+        marker = self.data_dir / "FORMAT"
+        try:
+            found = " ".join(marker.read_text("utf8", errors="replace").split())
+        except FileNotFoundError:
+            if self.trees_dir.exists() or self.journal_dir.exists():
+                raise DataDirFormatError(self.data_dir, "1 (no FORMAT file)") from None
+            self._write_atomic(marker, f"{DATA_FORMAT}\n".encode("utf8"))
+            return
+        if found != str(DATA_FORMAT):
+            raise DataDirFormatError(self.data_dir, found[:32] or "<empty>")
+
     # -- observability helpers ----------------------------------------
 
     def _dcount(self, name: str, n: int = 1) -> None:
@@ -294,18 +338,22 @@ class DurableTreeStore(TreeStore):
             "source": entry.source,
         }
         data = (json.dumps(doc, sort_keys=True) + "\n").encode("utf8")
-        path = self._snapshot_path(entry.fingerprint)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         with self._io_lock:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            self._fsync_dir(self.trees_dir)
+            self._write_atomic(self._snapshot_path(entry.fingerprint), data)
             self._snapshots.add(entry.fingerprint)
         self._dcount("snapshots")
+
+    def _write_atomic(self, path: Path, data: bytes) -> None:
+        """Write ``path`` whole or not at all: tmp file, fsync,
+        ``os.replace``, then fsync the directory."""
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            if self.fsync:
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        self._fsync_dir(path.parent)
 
     def _fsync_dir(self, path: Path) -> None:
         if not self.fsync:
@@ -426,11 +474,7 @@ class DurableTreeStore(TreeStore):
     # -- store overrides ----------------------------------------------
 
     def _insert(
-        self,
-        tree: TNode,
-        source: Optional[str],
-        filename: str,
-        fingerprint: Optional[str] = None,
+        self, tree: TNode, source: Optional[str], filename: str
     ) -> tuple[StoredTree, bool]:
         with self._lock:
             if len(self._trees) >= self.max_trees:
@@ -443,7 +487,7 @@ class DurableTreeStore(TreeStore):
                 excess = len(self._trees) - self.max_trees + 1
                 for victim in list(self._trees.values())[:excess]:
                     self._write_snapshot(victim)
-            entry, cached = super()._insert(tree, source, filename, fingerprint)
+            entry, cached = super()._insert(tree, source, filename)
             if (
                 self._persist
                 and not cached
@@ -491,10 +535,7 @@ class DurableTreeStore(TreeStore):
                 )
             self._local.in_apply = True
             try:
-                # staging already fingerprinted the rebuilt tree: reuse it
-                entry, cached = self._insert(
-                    staged.tree, source, staged.filename, staged.fingerprint
-                )
+                entry, cached = self._insert(staged.tree, source, staged.filename)
             finally:
                 self._local.in_apply = False
         finally:
@@ -530,12 +571,12 @@ class DurableTreeStore(TreeStore):
         ):
             self._dcount("fingerprint_mismatches")
             self.recovery_problem(
-                f"{path.name}: snapshot fingerprint mismatch (parsed {fp[:12]}...)"
+                f"{path.name}: snapshot fingerprint mismatch (parsed {fp[:20]}...)"
             )
             return None
         # no _persist dance needed: the fingerprint is in self._snapshots,
         # so the insert-side snapshot write is a no-op
-        entry, _ = self._insert(tree, source, filename, fp)
+        entry, _ = self._insert(tree, source, filename)
         return entry
 
     def recovery_problem(self, message: str) -> None:
@@ -608,7 +649,7 @@ class DurableTreeStore(TreeStore):
         except UnknownFingerprint:
             stats.records_skipped += 1
             stats.problems.append(
-                f"apply record targets unknown base {str(record.get('base'))[:12]}..."
+                f"apply record targets unknown base {str(record.get('base'))[:20]}..."
             )
             return
         except (PatchError, StoreError) as exc:
@@ -619,11 +660,11 @@ class DurableTreeStore(TreeStore):
             stats.fingerprint_mismatches += 1
             self._dcount("fingerprint_mismatches")
             stats.problems.append(
-                f"replayed apply produced {staged.fingerprint[:12]}..., "
-                f"journal expected {str(expect)[:12]}..."
+                f"replayed apply produced {staged.fingerprint[:20]}..., "
+                f"journal expected {str(expect)[:20]}..."
             )
             return
-        self._insert(staged.tree, source, staged.filename, staged.fingerprint)
+        self._insert(staged.tree, source, staged.filename)
         stats.applies_replayed += 1
 
     def describe_recovery(self) -> dict[str, Any]:

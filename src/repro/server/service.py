@@ -34,6 +34,7 @@ from repro.core import PatchError, tnode_to_mtree
 from repro.core.serialize import SerializationError, script_from_json
 from repro.observability import (
     OBS,
+    GCPauses,
     TelemetryCollector,
     metrics as _metrics,
     span as _span,
@@ -41,7 +42,7 @@ from repro.observability import (
 )
 
 from .pool import DiffPool, diff_trees, pool_diff_task
-from .store import StoredTree, StoreError, TreeStore, UnknownFingerprint
+from .store import StoredTree, StoreError, TreeStore, UnknownFingerprint, stage_patched
 
 #: Upper bound on scripts per ``/apply-batch`` request.
 MAX_BATCH_SCRIPTS = 64
@@ -100,8 +101,11 @@ class ReproService:
         workers: int = 0,
         collector: Optional[TelemetryCollector] = None,
         op_timeout_s: Optional[float] = None,
+        gc_pauses: Optional[GCPauses] = None,
     ) -> None:
         self.store = store if store is not None else TreeStore()
+        #: collector pause accounting published by :meth:`metrics_text`
+        self.gc_pauses = gc_pauses
         #: per-operation deadline for pooled diffs (None = no deadline)
         self.op_timeout_s = op_timeout_s if op_timeout_s and op_timeout_s > 0 else None
         self.collector = (
@@ -361,14 +365,15 @@ class ReproService:
                     mtree, statuses = parallel_run
             if statuses is None:
                 mtree, statuses = self._batch_sequential(base, renamed)
-            rebuilt, source, out_fp = self._batch_finish(mtree)
+            staged = stage_patched(mtree, base.filename)
+            out_fp = staged.fingerprint
 
             oracle_out: Optional[dict[str, Any]] = None
             if oracle:
                 self._batch_count("oracle_checks")
                 if mode == "parallel":
                     seq_mtree, seq_statuses = self._batch_sequential(base, renamed)
-                    _, _, seq_fp = self._batch_finish(seq_mtree)
+                    seq_fp = stage_patched(seq_mtree, base.filename).fingerprint
                 else:
                     seq_statuses, seq_fp = statuses, out_fp
                 verdicts = [(s["index"], s["status"]) for s in statuses]
@@ -378,15 +383,15 @@ class ReproService:
                     raise ServiceError(
                         "internal",
                         "apply-batch differential oracle failed: parallel "
-                        f"result {out_fp[:12]} (verdicts {verdicts}) != "
-                        f"sequential {seq_fp[:12]} (verdicts {seq_verdicts})",
+                        f"result {out_fp[:20]} (verdicts {verdicts}) != "
+                        f"sequential {seq_fp[:20]} (verdicts {seq_verdicts})",
                     )
                 oracle_out = {"ok": True, "fingerprint": seq_fp, "compared": mode}
 
             cached = False
             if commit:
                 entry, cached = self.store.put_tree(
-                    rebuilt, source, base.filename, fingerprint=out_fp
+                    staged.tree, staged.source, staged.filename
                 )
                 out_fp = entry.fingerprint
 
@@ -401,10 +406,10 @@ class ReproService:
         out = {
             "tree": fingerprint,
             "fingerprint": out_fp,
-            "nodes": rebuilt.size,
+            "nodes": staged.nodes,
             "cached": cached,
             "committed": commit,
-            "source": source,
+            "source": staged.source,
             "mode": mode,
             "applied": applied,
             "rejected": len(statuses) - applied,
@@ -530,20 +535,6 @@ class ReproService:
                     statuses[i] = self._status_applied(i, renamed[i])
         return mtree, statuses
 
-    @staticmethod
-    def _batch_finish(mtree) -> tuple[Any, str, str]:
-        """Rebuild the canonical tree from the patched scratch ``MTree``
-        exactly as :meth:`TreeStore.apply` does; returns
-        ``(tree, source, fingerprint)``."""
-        from repro.adapters.pyast import python_grammar, unparse_python
-
-        from .store import fingerprint_tree
-
-        g = python_grammar()
-        rebuilt = g.grammar.parse_tuple(mtree.to_tuple()).with_canonical_uris()
-        source = unparse_python(rebuilt)
-        return rebuilt, source, fingerprint_tree(rebuilt)
-
     def _op_lint(self, params: dict[str, Any]) -> dict[str, Any]:
         from repro.analysis import lint_script, render_json
 
@@ -613,6 +604,8 @@ class ReproService:
             # gauges merge last-write-wins across worker deltas; re-assert
             # the authoritative store size at scrape time
             _metrics().gauge("repro.server.store.trees").set(len(self.store))
+            if self.gc_pauses is not None:
+                self.gc_pauses.publish(_metrics())
         return prometheus_text(snapshot())
 
     def drain_spans(self) -> list[dict[str, Any]]:

@@ -18,7 +18,8 @@ lock-class graph fails the gate that provoked it:
    (``repro_server_store_parses_total`` scraped from ``/metrics`` stays
    exactly one parse per distinct upload, before and after the repeat);
 3. **Concurrency** (``concurrency``) — 32 concurrent fingerprint diffs
-   all succeed with identical bytes;
+   all succeed, each byte-identical to gate 1's CLI answer for its
+   pair (the gate that catches two trees sharing a store key);
 4. **Observability surfaces** (``observability``) — ``/metrics`` is
    scrapeable Prometheus text carrying the request counters, ``/trace``
    yields a Chrome trace document with ``repro.server.request`` spans;
@@ -189,7 +190,8 @@ def _gates(daemon: Daemon, pairs: list[tuple[Path, Path]]) -> Iterator[dict[str,
     # -- gate 1: byte identity across the corpus ----------------------
     problems: list[str] = []
     fingerprints: dict[Path, str] = {}
-    diffable: list[tuple[Path, Path]] = []
+    # the CLI's answer for every pair the server matched byte for byte
+    cli_bytes: dict[tuple[Path, Path], bytes] = {}
     for before, after in pairs:
         rc, cli_out = cli_diff_json(before, after)
         if rc == 2:
@@ -217,7 +219,8 @@ def _gates(daemon: Daemon, pairs: list[tuple[Path, Path]]) -> Iterator[dict[str,
         if client.diff_raw(fps[0], fps[1]) != cli_out:
             problems.append(f"{before} -> {after}: server diff is not byte-identical to CLI")
         else:
-            diffable.append((before, after))
+            cli_bytes[(before, after)] = cli_out
+    diffable = list(cli_bytes)
     yield {
         "check": "byte_identity",
         "identical": len(diffable),
@@ -266,15 +269,25 @@ def _gates(daemon: Daemon, pairs: list[tuple[Path, Path]]) -> Iterator[dict[str,
     for t in threads:
         t.join(120)
     errors = [r for r in results if not isinstance(r, bytes)]
+    mismatched = [
+        i
+        for i, r in enumerate(results)
+        if isinstance(r, bytes) and r != cli_bytes[diffable[i % len(diffable)]]
+    ]
+    problems = []
+    if errors:
+        problems.append(f"{len(errors)}/{CONCURRENCY} concurrent requests failed: {errors[:3]}")
+    if mismatched:
+        problems.append(
+            f"{len(mismatched)}/{CONCURRENCY} concurrent responses differ from the "
+            f"CLI bytes of their pair (requests {mismatched[:5]})"
+        )
     yield {
         "check": "concurrency",
         "requests": CONCURRENCY,
+        "identical": CONCURRENCY - len(errors) - len(mismatched),
         "elapsed_s": round(time.time() - t0, 2),
-        "problems": (
-            [f"{len(errors)}/{CONCURRENCY} concurrent requests failed: {errors[:3]}"]
-            if errors
-            else []
-        ),
+        "problems": problems,
     }
 
     # -- gate 4: observability surfaces -------------------------------

@@ -4,26 +4,35 @@ The one-shot CLI re-parses both files on every ``repro diff`` — at the
 north-star scale (many diffs against few distinct documents) parsing
 dominates.  The store turns the parsed artifacts into shared immutable
 state: each uploaded source is parsed once, canonicalized
-(:meth:`~repro.core.tree.TNode.with_canonical_uris`), flattened into a
-:class:`~repro.core.arena.TreeArena`, and filed under the sha256
-**tree fingerprint** (:func:`repro.robustness.tree_fingerprint` over the
-canonical :class:`~repro.core.mtree.MTree` state).  Clients submit
-sources once and from then on address trees by fingerprint.
+(:meth:`~repro.core.tree.TNode.with_canonical_uris`), and filed under
+its **root key** (:func:`fingerprint_tree`): the hash-scheme name plus
+the root's Step-1 structure and literal hashes (paper §4.1).  Clients
+submit sources once and from then on address trees by that key (the
+wire calls it the tree's ``fingerprint``).
 
 Content addressing is by *tree* content, not source bytes: two sources
 that parse to the same canonical tree (formatting, comments) share one
 entry — uploading the reformatted file is a cache hit and diffing the
-two fingerprints is the identity.  The fingerprint is exactly what the
-fault-injection harness compares for byte-identical rollback, so "same
-fingerprint" means "indistinguishable to every observer of the standard
-semantics".
+two fingerprints is the identity.  The root key is sound because:
+
+* Step 1 hashes every node bottom-up over its tag, its kids' hashes and
+  its literals, so the root's two hashes cover the whole tree — except
+  its URIs, and every stored tree is canonical: its URIs are pre-order
+  positions, which follow from its shape;
+* literal hashes are type-tagged, so ``1``/``True``/``1.0`` and
+  ``0.0``/``-0.0`` key apart, exactly as
+  :func:`~repro.robustness.tree_fingerprint` (the full-state digest the
+  fault-injection harness compares) tells them apart;
+* the hashes are computed when the tree is built, so reading the key is
+  O(1), and a tree built from a re-parse or a replayed patch recomputes
+  them from all of its nodes — recovery still checks full content.
 
 Mutation semantics mirror ``robustness/``'s transactional patching: the
 store never mutates an entry in place.  :meth:`TreeStore.apply` patches
 a *fresh* ``MTree`` built from the stored tree with
 ``patch(atomic=True, verify=True)`` — any failure rolls the scratch tree
 back and leaves the store untouched — and only a verified result is
-inserted, under its own (new) fingerprint.  Entries are immutable after
+inserted, under its own (new) key.  Entries are immutable after
 insert; capacity is bounded by LRU eviction.
 
 All methods are thread-safe (the asyncio front ends call them from
@@ -32,10 +41,10 @@ executor threads).
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Optional
 
 from repro.core import TNode, tnode_to_mtree
+from repro.core.tree import get_hash_scheme
 from repro.observability import OBS, metrics as _metrics
 
 
@@ -54,11 +63,10 @@ class StoredTree:
 
     ``tree`` has canonical pre-order URIs (1..size), so scripts produced
     against it are meaningful to any process that re-parses the same
-    source — the same contract as the CLI's ``diff``/``apply``.  The
-    arena column form is materialized lazily on first use and cached.
+    source — the same contract as the CLI's ``diff``/``apply``.
     """
 
-    __slots__ = ("fingerprint", "source", "filename", "tree", "nodes", "_arena", "_lock")
+    __slots__ = ("fingerprint", "source", "filename", "tree", "nodes")
 
     def __init__(
         self, fingerprint: str, source: Optional[str], filename: str, tree: TNode
@@ -68,17 +76,6 @@ class StoredTree:
         self.filename = filename
         self.tree = tree
         self.nodes = tree.size
-        self._arena = None
-        self._lock = threading.Lock()
-
-    def arena(self):
-        """The entry's :class:`~repro.core.arena.TreeArena` (lazy, cached)."""
-        with self._lock:
-            if self._arena is None:
-                from repro.core.arena import TreeArena
-
-                self._arena = TreeArena.from_tree(self.tree, strict=True)
-            return self._arena
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -89,10 +86,26 @@ class StoredTree:
 
 
 def fingerprint_tree(tree: TNode) -> str:
-    """The store key of a canonical tree: sha256 over its MTree state."""
-    from repro.robustness import tree_fingerprint
+    """The store key of a canonical tree: the hash-scheme name and the
+    root's Step-1 hashes (``structure_hash + literal_hash``), in hex.
 
-    return tree_fingerprint(tnode_to_mtree(tree))
+    O(1) — the hashes were computed when the tree was built.  The scheme
+    is named because :func:`~repro.core.tree.set_hash_scheme` is
+    process-wide and digests of different schemes never compare equal.
+    """
+    return f"{get_hash_scheme()}-{(tree.structure_hash + tree.literal_hash).hex()}"
+
+
+def stage_patched(mtree, filename: str) -> StoredTree:
+    """The store entry for a patched scratch ``MTree``, not yet inserted:
+    rebuild the tree, canonicalize its URIs, unparse it, key it.  The
+    one post-patch finish of :meth:`TreeStore.apply` and the daemon's
+    ``/apply-batch``."""
+    from repro.adapters.pyast import python_grammar, unparse_python
+
+    g = python_grammar()
+    rebuilt = g.grammar.parse_tuple(mtree.to_tuple()).with_canonical_uris()
+    return StoredTree(fingerprint_tree(rebuilt), unparse_python(rebuilt), filename, rebuilt)
 
 
 class TreeStore:
@@ -165,6 +178,11 @@ class TreeStore:
             raise StoreError(
                 f"{filename}: {exc.msg or 'invalid syntax'}{where}"
             ) from None
+        except RecursionError as exc:
+            # a valid module nested deeper than the parser's limit
+            # (CPython 3.12+ refuses it in ast.parse): bad input, not a
+            # daemon fault
+            raise StoreError(f"{filename}: too deeply nested to parse: {exc}") from None
         except ValueError as exc:  # e.g. null bytes in source
             raise StoreError(f"{filename}: {exc}") from None
         return self._insert(tree, source, filename)
@@ -174,26 +192,14 @@ class TreeStore:
         tree: TNode,
         source: Optional[str] = None,
         filename: str = "<patched>",
-        fingerprint: Optional[str] = None,
     ) -> tuple[StoredTree, bool]:
-        """Insert an already-parsed canonical tree (e.g. an apply result).
-
-        Callers that already fingerprinted the tree (batch apply compares
-        fingerprints before committing) pass it through to skip the
-        second hash."""
-        return self._insert(tree, source, filename, fingerprint=fingerprint)
+        """Insert an already-parsed canonical tree (e.g. an apply result)."""
+        return self._insert(tree, source, filename)
 
     def _insert(
-        self,
-        tree: TNode,
-        source: Optional[str],
-        filename: str,
-        fingerprint: Optional[str] = None,
+        self, tree: TNode, source: Optional[str], filename: str
     ) -> tuple[StoredTree, bool]:
-        # callers that already fingerprinted the tree (apply staging,
-        # snapshot recovery) pass it in; hashing a large tree twice is
-        # the dominant avoidable cost on the write path
-        fp = fingerprint if fingerprint is not None else fingerprint_tree(tree)
+        fp = fingerprint_tree(tree)
         with self._lock:
             existing = self._trees.get(fp)
             if existing is not None:
@@ -235,20 +241,16 @@ class TreeStore:
         post-verify); a rejected patch raises
         :class:`~repro.core.PatchError` with the store unchanged.  On
         success the patched tree is unparsed and — with ``commit`` —
-        inserted under its own fingerprint (the store being
-        content-addressed, a "mutation" is always a new entry).
+        inserted under its own key (the store being content-addressed,
+        a "mutation" is always a new entry).
         """
         base = self.get(fingerprint)
         mtree = tnode_to_mtree(base.tree)
         # PatchError propagates to the service layer; atomic => the
         # scratch tree rolled back and the store was never touched.
         mtree.patch(script, atomic=True, sigs=base.tree.sigs, verify=True)
-        from repro.adapters.pyast import python_grammar, unparse_python
-
-        g = python_grammar()
-        rebuilt = g.grammar.parse_tuple(mtree.to_tuple()).with_canonical_uris()
-        source = unparse_python(rebuilt)
+        staged = stage_patched(mtree, base.filename)
         if not commit:
-            return StoredTree(fingerprint_tree(rebuilt), source, base.filename, rebuilt), False, source
-        entry, was_cached = self._insert(rebuilt, source, base.filename)
-        return entry, was_cached, source
+            return staged, False, staged.source
+        entry, was_cached = self._insert(staged.tree, staged.source, staged.filename)
+        return entry, was_cached, staged.source

@@ -10,6 +10,10 @@ path), and a structural change at the leaf invalidates every ancestor's
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import (
@@ -97,3 +101,34 @@ def test_deep_mtree_roundtrip(scheme):
         mt = tnode_to_mtree(tree)
         back = mtree_to_tnode(mt, tree.sigs)
         assert back.tree_equal(tree)
+
+
+#: ``to_tuple`` -> ``parse_tuple`` on the chain, for both tree kinds
+TUPLE_ROUNDTRIP = """
+import sys
+from repro.core import hash_scheme, tnode_to_mtree
+from tests.util import EXP
+with hash_scheme(sys.argv[1]):
+    tree = EXP.Num(4)
+    for _ in range(int(sys.argv[2])):
+        tree = EXP.Neg(tree)
+    for snapshot in (tree.to_tuple(), tnode_to_mtree(tree).to_tuple()):
+        assert EXP.g.parse_tuple(snapshot).tree_equal(tree)
+print("ok")
+"""
+
+
+def test_deep_tuple_roundtrip(scheme):
+    # in a subprocess: a recursive to_tuple overflows the C stack, and
+    # that must fail this test, not kill the test run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), root]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", TUPLE_ROUNDTRIP, scheme, str(DEPTH)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert proc.stdout.strip() == "ok"

@@ -54,6 +54,74 @@ def cli_diff_json(capsys, before, after) -> str:
 # -- content-addressed store ----------------------------------------------
 
 
+class TestStoreKey:
+    """The store key is the hash-scheme name plus the root's Step-1
+    hashes; these pin that it tells exactly the trees apart that the
+    full MTree-state digest tells apart."""
+
+    def key(self, source: str) -> str:
+        return TreeStore().put_source(source)[0].fingerprint
+
+    def test_key_is_scheme_and_root_hashes(self):
+        from repro.core import get_hash_scheme
+
+        entry, _ = TreeStore().put_source(BEFORE)
+        root = entry.tree
+        assert entry.fingerprint == (
+            f"{get_hash_scheme()}-{(root.structure_hash + root.literal_hash).hex()}"
+        )
+
+    def test_key_names_the_hash_scheme(self):
+        from repro.core import hash_scheme
+
+        with hash_scheme("sha256"):
+            key = self.key(BEFORE)
+        assert key.startswith("sha256-") and key != self.key(BEFORE)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ("x = 1\n", "x = True\n"),
+            ("x = 1\n", "x = 1.0\n"),
+            ("x = 0.0\n", "x = -0.0\n"),
+            ("x = 'a'\n", "x = b'a'\n"),
+            ("x = 0\n", "x = False\n"),
+        ],
+    )
+    def test_conflatable_literals_get_distinct_keys(self, left, right):
+        assert self.key(left) != self.key(right)
+
+    def test_keys_agree_with_the_full_state_digest(self):
+        from repro.corpus import seeded_cases
+        from repro.core import tnode_to_mtree
+        from repro.robustness import tree_fingerprint
+
+        trees = []
+        for before, afters in seeded_cases(20260806, 12, "small"):
+            for source in (before, *afters, before + "\n"):
+                trees.append(TreeStore().put_source(source)[0].tree)
+        keys = [fingerprint_tree(t) for t in trees]
+        digests = [tree_fingerprint(tnode_to_mtree(t)) for t in trees]
+        for i in range(len(trees)):
+            for j in range(len(trees)):
+                assert (keys[i] == keys[j]) == (digests[i] == digests[j])
+        assert len(set(keys)) < len(keys)  # the re-spaced copies collide
+
+    def test_canonicalization_copies_the_hashes(self):
+        from repro.adapters.pyast import parse_python, python_grammar
+
+        tree = parse_python(AFTER)
+        canon = tree.with_canonical_uris()
+        # the hashing constructor, run again over every node
+        rehashed = python_grammar().grammar.parse_tuple(tree.to_tuple())
+        for a, b, c in zip(
+            tree.iter_subtree(), canon.iter_subtree(), rehashed.iter_subtree()
+        ):
+            for field in ("structure_hash", "literal_hash", "height", "size"):
+                assert getattr(a, field) == getattr(b, field) == getattr(c, field)
+        assert [n.uri for n in canon.iter_subtree()] == list(range(1, tree.size + 1))
+
+
 class TestTreeStore:
     def test_put_get_roundtrip(self):
         store = TreeStore()
@@ -73,6 +141,9 @@ class TestTreeStore:
         # a reformatted source with the same canonical tree shares the entry
         reform, cached = store.put_source(BEFORE_REFORMATTED, "c.py")
         assert cached and reform is entry
+        spaced = "def f( x ):\n    # a comment\n    return (x + 1)\n"
+        reform, cached = store.put_source(spaced, "d.py")
+        assert cached and reform is entry
         assert len(store) == 1
         assert entry.fingerprint == fingerprint_tree(entry.tree)
 
@@ -87,6 +158,25 @@ class TestTreeStore:
             store.put_source("def broken(:\n", "bad.py")
         assert "bad.py" in str(exc.value)
         assert len(store) == 0
+
+    def test_too_deep_source_is_a_bad_request(self, monkeypatch):
+        # CPython 3.12+ refuses a very deep module in ast.parse with
+        # RecursionError; that is the client's input, not a daemon fault
+        import repro.adapters.pyast as pyast
+
+        def too_deep(source, filename="<string>"):
+            raise RecursionError("maximum recursion depth exceeded during compilation")
+
+        monkeypatch.setattr(pyast, "parse_python", too_deep)
+        with pytest.raises(StoreError, match="deep.py: too deeply nested"):
+            TreeStore().put_source("x = 1\n", "deep.py")
+        service = ReproService()
+        try:
+            with pytest.raises(ServiceError) as exc:
+                service.handle("put_tree", {"source": "x = 1\n", "filename": "deep.py"})
+            assert exc.value.code == "bad_request" and exc.value.status == 400
+        finally:
+            service.close()
 
     def test_lru_eviction_is_bounded_and_ordered(self):
         store = TreeStore(max_trees=2)
@@ -425,6 +515,88 @@ class TestApplyBatch:
             assert seq["fingerprint"] == out["fingerprint"]
         finally:
             service.close()
+
+
+# -- deep inputs and collector pauses --------------------------------------
+
+#: the 20,000-term module: a left-nested BinOp chain 20k levels deep
+DEEP_MODULE = """
+import ast, sys
+from repro.server import ReproService, ServiceError
+terms = ["1"] * 20_000
+source = "x = " + "+".join(terms) + "\\n"
+variant = "x = " + "+".join(terms[:-1] + ["2"]) + "\\n"
+service = ReproService(workers=0)
+try:
+    try:
+        ast.parse(source)
+    except RecursionError:
+        # CPython 3.12+ refuses the module: the daemon must say 400
+        try:
+            service.handle("put_tree", {"source": source})
+        except ServiceError as exc:
+            print("rejected", exc.code)
+        sys.exit(0)
+    fp = service.handle("put_tree", {"source": source})["fingerprint"]
+    diff = service.handle("diff", {"before": fp, "after": {"source": variant}})
+    if sys.version_info < (3, 11):
+        # CPython 3.10 spends C stack on every Python call: unparsing the
+        # result (recursive pyast restore, ast.unparse) still overflows it
+        print("diffed", len(diff["script"]) > 0)
+        sys.exit(0)
+    out = service.handle("apply", {"tree": fp, "script": diff["script_json"]})
+    print("applied", out["fingerprint"] == diff["after"])
+finally:
+    service.close()
+"""
+
+
+def test_deep_module_applies_without_crashing():
+    # a subprocess, so a C-stack overflow fails this test instead of
+    # killing the test run
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_MODULE],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert proc.stdout.split() in (
+        ["applied", "True"], ["rejected", "bad_request"], ["diffed", "True"]
+    )
+
+
+def test_gc_pauses_reach_metrics():
+    import gc
+
+    from repro.observability import GCPauses
+
+    from repro.server.smoke import metric_value
+
+    pauses = GCPauses()
+    pauses.install()
+    service = ReproService(gc_pauses=pauses)
+    obs.enable()
+    try:
+        before = service.metrics_text()
+        gc.collect()
+        after = service.metrics_text()
+    finally:
+        pauses.uninstall()
+        service.close()
+        obs.disable()
+        obs.reset()
+    assert pauses._on_gc not in gc.callbacks
+    for name in ("repro_gc_collections_gen2", "repro_gc_pause_total_ms"):
+        assert metric_value(after, name) > metric_value(before, name), name
+    # an automatic collection before the first scrape may have been longer
+    longest = metric_value(after, "repro_gc_pause_max_ms")
+    assert 0 < longest <= metric_value(after, "repro_gc_pause_total_ms")
+    assert longest >= metric_value(before, "repro_gc_pause_max_ms")
 
 
 # -- HTTP front end --------------------------------------------------------

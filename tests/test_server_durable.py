@@ -509,6 +509,70 @@ class TestDataDirLock:
         assert err.count("\n") == 1  # one-line diagnostic
 
 
+# -- data-dir format ----------------------------------------------------------
+
+
+class TestDataDirFormat:
+    def test_new_dir_is_marked_with_the_current_format(self, tmp_path):
+        from repro.server.durable import DATA_FORMAT
+
+        store = DurableTreeStore(tmp_path / "data")
+        try:
+            entry, _ = store.put_source(BEFORE)
+        finally:
+            store.close()
+        assert (tmp_path / "data" / "FORMAT").read_text() == f"{DATA_FORMAT}\n"
+        reopened = DurableTreeStore(tmp_path / "data")
+        try:
+            assert reopened.recovery.clean
+            assert reopened.get(entry.fingerprint).fingerprint == entry.fingerprint
+        finally:
+            reopened.close()
+
+    def old_dir(self, tmp_path):
+        """A data dir as written before store keys were root hashes:
+        trees/ and journal/, no FORMAT file."""
+        data = tmp_path / "old"
+        (data / "trees").mkdir(parents=True)
+        (data / "journal").mkdir()
+        (data / "trees" / f"{'ab' * 32}.json").write_text(
+            json.dumps({"fingerprint": "ab" * 32, "filename": "a.py", "source": BEFORE})
+        )
+        return data
+
+    def test_old_dir_is_refused_not_emptied(self, tmp_path):
+        from repro.server import DataDirFormatError
+
+        data = self.old_dir(tmp_path)
+        with pytest.raises(DataDirFormatError) as exc:
+            DurableTreeStore(data)
+        assert str(data) in str(exc.value)
+        assert not (data / "FORMAT").exists()  # never re-marked
+        assert (data / "trees" / f"{'ab' * 32}.json").exists()
+        # the refusal released the lock: a second attempt is refused the
+        # same way, not as a locked dir
+        with pytest.raises(DataDirFormatError):
+            DurableTreeStore(data)
+
+    def test_other_version_is_refused(self, tmp_path):
+        from repro.server import DataDirFormatError
+
+        (tmp_path / "FORMAT").write_text("1\n")
+        with pytest.raises(DataDirFormatError, match="has format 1,"):
+            DurableTreeStore(tmp_path)
+
+    def test_cli_serve_exits_2_on_old_dir(self, tmp_path, capsys):
+        from repro.server.durable import DATA_FORMAT
+
+        data = self.old_dir(tmp_path)
+        rc = main(["serve", "--data-dir", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # one-line diagnostic
+        assert err.startswith("repro:") and str(data) in err
+        assert "format 1" in err and f"format {DATA_FORMAT}" in err
+
+
 # -- service integration ----------------------------------------------------
 
 

@@ -108,6 +108,88 @@ class TestHashingAndEquivalence:
         assert mt.node_count() == t.size
 
 
+def ref_tnode_tuple(t, with_uris=False):
+    """The recursive definition of :meth:`TNode.to_tuple` (reference)."""
+    kids = tuple((l, ref_tnode_tuple(k, with_uris)) for l, k in t.kid_items)
+    lits = tuple(sorted(t.lit_items, key=lambda kv: kv[0]))
+    head = (t.tag, t.uri) if with_uris else t.tag
+    return (head, tuple(sorted(kids, key=lambda kv: kv[0])), lits)
+
+
+def ref_mnode_tuple(m, with_uris=False):
+    """The recursive definition of :meth:`MNode.to_tuple` (reference)."""
+    kids = tuple(
+        (l, ref_mnode_tuple(k, with_uris) if k is not None else None)
+        for l, k in sorted(m.kids.items())
+    )
+    lits = tuple(sorted(m.lits.items(), key=lambda kv: kv[0]))
+    head = (m.tag, m.uri) if with_uris else m.tag
+    return (head, kids, lits)
+
+
+def ref_parse_tuple(g, data):
+    """The recursive definition of :meth:`Grammar.parse_tuple` (reference)."""
+    if isinstance(data, str):
+        return g.build(data)
+    tag, kids, lits = data
+    if isinstance(tag, tuple):
+        tag = tag[0]
+    sig = g.sigs[tag]
+    kid_map = {l: ref_parse_tuple(g, k) for l, k in kids}
+    lit_map = dict(lits)
+    return g.build(
+        tag,
+        [kid_map[l] for l in sig.kid_links_for(len(kid_map))],
+        [lit_map[l] for l in sig.lit_links],
+    )
+
+
+class TestTupleSnapshots:
+    """The iterative ``to_tuple``/``parse_tuple`` give exactly what their
+    recursive definitions give (deep trees: ``test_deep_trees.py``)."""
+
+    def trees(self):
+        import random
+
+        from repro.adapters.pyast import parse_python
+
+        from .util import random_exp
+
+        rng = random.Random(17)
+        yield from (random_exp(rng, depth=6) for _ in range(20))
+        # a variadic body of 12 statements: links "10" and "11" sort before "2"
+        yield parse_python("".join(f"x{i} = {i}\n" for i in range(12)) + "def f(a, *b): return (a, b)\n")
+
+    def test_to_tuple_matches_the_recursive_definition(self):
+        for t in self.trees():
+            m = tnode_to_mtree(t)
+            for with_uris in (False, True):
+                assert t.to_tuple(with_uris) == ref_tnode_tuple(t, with_uris)
+                assert m.to_tuple(with_uris) == ref_mnode_tuple(m.main, with_uris)
+
+    def test_mnode_to_tuple_keeps_empty_slots(self):
+        e = EXP
+        m = tnode_to_mtree(e.Add(e.Num(1), e.Neg(e.Var("x"))))
+        m.main.kids["e1"] = None
+        assert m.to_tuple() == ref_mnode_tuple(m.main)
+        assert m.to_tuple()[1][0] == ("e1", None)
+
+    def test_parse_tuple_matches_the_recursive_definition(self):
+        from .util import ExpLang
+
+        for t in self.trees():
+            if t.tag not in EXP.sigs:
+                continue
+            # two fresh grammars number their nodes from the same start,
+            # so equal URIs mean the same fresh-URI order
+            iterative, recursive = ExpLang().g, ExpLang().g
+            for data in (t.to_tuple(), tnode_to_mtree(t).to_tuple()):
+                got = iterative.parse_tuple(data)
+                want = ref_parse_tuple(recursive, data)
+                assert got.to_tuple(True) == want.to_tuple(True)
+                assert got.tree_equal(t)
+
+
 class TestGrammarDSL:
     def test_constructor_positional_and_keyword(self):
         e = EXP
