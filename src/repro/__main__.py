@@ -281,7 +281,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
     g = python_grammar()
     rebuilt = g.grammar.parse_tuple(mtree.to_tuple())
-    print(unparse_python(rebuilt))
+    try:
+        print(unparse_python(rebuilt))
+    except RecursionError as exc:
+        raise CLIError(args.before, f"patched tree too deeply nested: {exc}") from None
     return 0
 
 

@@ -35,6 +35,7 @@ from typing import Any, Optional, Union
 
 from repro.core import Grammar, LIT_ANY, TNode
 from repro.core.adt import ListSorts, OptionSorts
+from repro.core.signature import Signature
 from repro.core.types import LitType, Type
 
 from .asdl import Field, Module, parse_asdl
@@ -146,10 +147,20 @@ _LIT_BUILTINS = {"identifier", "string", "int", "constant", "object"}
 #: fields whose list *elements* may be None in CPython ASTs
 _NULLABLE_LISTS = {("Dict", "keys"), ("arguments", "kw_defaults")}
 
-# CPython ASTs can nest deeply (long statement lists become long cons
-# chains).  Python 3.11 no longer burns C stack on Python-to-Python calls,
-# so a generous recursion limit is safe.
+# CPython ASTs can nest deeply (a long ``a + b + ...`` chain is one level
+# per operand).  The converters below are iterative; the stdlib
+# ``ast.unparse`` recurses, and Python 3.11 no longer burns C stack on
+# Python-to-Python calls, so a generous recursion limit is safe there.
 _RECURSION_LIMIT = 1_000_000
+
+#: Tallest tree :func:`unparse_python` hands to ``ast.unparse`` on CPython
+#: < 3.11, where every Python call also takes C stack: with the raised
+#: limit a deeper tree overflows the C stack (SIGSEGV) instead of raising
+#: ``RecursionError``.  On 3.10.13 with 8 MiB stacks, main thread and
+#: worker thread alike, ``ast.unparse`` survived 4,500 levels of every
+#: deep expression shape tried and crashed between 5,000 and 6,000
+#: ``BinOp`` levels; a tree's height is at least its AST depth.
+_UNPARSE_MAX_HEIGHT = 2_500 if sys.version_info < (3, 11) else None
 
 
 def _ensure_recursion_limit() -> None:
@@ -170,6 +181,21 @@ class _FieldPlan:
 class _CtorPlan:
     tag: str
     fields: tuple[_FieldPlan, ...]
+
+
+# ast -> TNode work items (see PythonGrammar.to_tnode)
+_VISIT, _BUILD, _SOME, _NONE, _LIST = range(5)
+
+
+@dataclass(frozen=True)
+class _Build:
+    """How :meth:`PythonGrammar.to_tnode` builds one constructor's node:
+    its signature, kid count, and for every plain ``kid`` field the kid
+    position with the constructor tags admissible there."""
+
+    sig: Signature
+    kids: int
+    checks: tuple[tuple[int, frozenset[str]], ...]
 
 
 class PythonGrammar:
@@ -200,6 +226,7 @@ class PythonGrammar:
                 self._declare(ctor.name, name, ctor.fields)
         for name, prod in self.module.products.items():
             self._declare(name, name, prod.fields)
+        self._compile()
 
     # -- grammar derivation -------------------------------------------------
 
@@ -248,91 +275,231 @@ class PythonGrammar:
         self.grammar.constructor(tag, self.sorts[result_sort], kids=kid_spec, lits=lit_spec)
         self.plans[tag] = _CtorPlan(tag, tuple(plans))
 
+    def _compile(self) -> None:
+        """Precompute what the iterative converters need per constructor.
+
+        A kid built from an ``ast`` node carries that node's constructor
+        tag, so "is this kid's sort admissible here" is one set lookup
+        instead of a subtype query; nodes whose kids all pass are built
+        with ``validate=False``.  An ill-sorted kid makes the node build
+        with validation on, which raises the same ``SignatureError`` the
+        grammar's constructors raise.
+        """
+        sigs = self.grammar.sigs
+        self._admits = admits = {
+            name: frozenset(
+                tag for tag in self.plans if sigs.is_subtype(sigs[tag].result, sort)
+            )
+            for name, sort in self.sorts.items()
+        }
+        self._builds: dict[str, _Build] = {}
+        self._locations: dict[str, dict[str, int]] = {}
+        for tag, plan in self.plans.items():
+            kid_fields = [fp for fp in plan.fields if fp.sort_name]
+            checks = tuple(
+                (i, admits[fp.sort_name])
+                for i, fp in enumerate(kid_fields)
+                if fp.kind == "kid"
+            )
+            self._builds[tag] = _Build(sigs[tag], len(kid_fields), checks)
+            # the positions ast.fix_missing_locations (which recurses)
+            # gives a node built without any: line 1, column 0 (TryStar is
+            # new in CPython 3.11)
+            cls = getattr(ast, tag, None)
+            self._locations[tag] = {
+                a: 1 if a.endswith("lineno") else 0
+                for a in (cls._attributes if cls is not None else ())
+                if a in ("lineno", "col_offset", "end_lineno", "end_col_offset")
+            }
+
     # -- ast -> TNode ----------------------------------------------------------
 
-    def to_tnode(self, node: ast.AST) -> TNode:
-        """Convert a CPython ast node into a diffable TNode."""
-        _ensure_recursion_limit()
-        return self._convert(node)
+    def to_tnode(self, root: ast.AST) -> TNode:
+        """Convert a CPython ast node into a diffable TNode.
 
-    def _convert(self, node: ast.AST) -> TNode:
-        tag = type(node).__name__
-        plan = self.plans.get(tag)
-        if plan is None:
-            raise ValueError(f"unsupported ast node type {tag}")
-        kids: list[TNode] = []
-        lits: list[Any] = []
-        for fp in plan.fields:
-            value = getattr(node, fp.name, None)
-            if fp.kind == "lit":
-                lits.append(value)
-            elif fp.kind == "enum":
-                lits.append(type(value).__name__)
-            elif fp.kind == "enum_list":
-                lits.append(tuple(type(v).__name__ for v in value))
-            elif fp.kind == "kid":
-                kids.append(self._convert(value))
-            elif fp.kind == "opt":
-                opt = self.options[fp.sort_name]
-                kids.append(opt.build(None if value is None else self._convert(value)))
-            elif fp.kind == "list":
-                lst = self.lists[fp.sort_name]
-                kids.append(lst.build([self._convert(v) for v in value or []]))
-            else:  # opt_list
-                opt = self.options[fp.sort_name]
-                lst = self.lists[opt.sort.name]
-                kids.append(
-                    lst.build(
-                        [
-                            opt.build(None if v is None else self._convert(v))
-                            for v in value or []
-                        ]
-                    )
+        Iterative post-order over a work stack: every node, option and
+        list node draws its fresh URI after its kids, in the order of the
+        recursive definition (fields left to right, each option or list
+        node right after its elements)."""
+        sigs = self.grammar.sigs
+        fresh = self.grammar.urigen.fresh
+        plans = self.plans
+        builds = self._builds
+        admits = self._admits
+        built: list[TNode] = []
+        stack: list[tuple[Any, ...]] = [(_VISIT, root)]
+        while stack:
+            item = stack.pop()
+            op = item[0]
+            if op == _VISIT:
+                node = item[1]
+                tag = type(node).__name__
+                plan = plans.get(tag)
+                if plan is None:
+                    raise ValueError(f"unsupported ast node type {tag}")
+                lits: list[Any] = []
+                todo: list[tuple[Any, ...]] = []
+                for fp in plan.fields:
+                    value = getattr(node, fp.name, None)
+                    kind = fp.kind
+                    if kind == "lit":
+                        lits.append(value)
+                    elif kind == "enum":
+                        lits.append(type(value).__name__)
+                    elif kind == "enum_list":
+                        lits.append(tuple(type(v).__name__ for v in value))
+                    elif kind == "kid":
+                        todo.append((_VISIT, value))
+                    elif kind == "opt":
+                        opt = self.options[fp.sort_name]
+                        if value is None:
+                            todo.append((_NONE, opt))
+                        else:
+                            todo.append((_VISIT, value))
+                            todo.append((_SOME, opt, admits[fp.sort_name]))
+                    elif kind == "list":
+                        count = 0
+                        for v in value or ():
+                            count += 1
+                            todo.append((_VISIT, v))
+                        lst = self.lists[fp.sort_name]
+                        todo.append((_LIST, lst, count, admits[fp.sort_name]))
+                    else:  # opt_list: elements are options, admissible as built
+                        opt = self.options[fp.sort_name]
+                        count = 0
+                        for v in value or ():
+                            count += 1
+                            if v is None:
+                                todo.append((_NONE, opt))
+                            else:
+                                todo.append((_VISIT, v))
+                                todo.append((_SOME, opt, admits[fp.sort_name]))
+                        todo.append((_LIST, self.lists[opt.sort.name], count, None))
+                stack.append((_BUILD, builds[tag], lits))
+                todo.reverse()
+                stack.extend(todo)
+            elif op == _BUILD:
+                b = item[1]
+                n = b.kids
+                kids = built[-n:] if n else []
+                if n:
+                    del built[-n:]
+                ok = True
+                for i, allowed in b.checks:
+                    if kids[i].sig.tag not in allowed:
+                        ok = False
+                        break
+                built.append(TNode(sigs, b.sig, kids, item[2], fresh(), validate=not ok))
+            elif op == _SOME:
+                inner = built[-1]
+                built[-1] = TNode(
+                    sigs,
+                    item[1].some.sig,
+                    (inner,),
+                    (),
+                    fresh(),
+                    validate=inner.sig.tag not in item[2],
                 )
-        sig = self.grammar.sigs[tag]
-        return TNode(self.grammar.sigs, sig, kids, lits, self.grammar.urigen.fresh())
+            elif op == _NONE:
+                built.append(TNode(sigs, item[1].none.sig, (), (), fresh(), validate=False))
+            else:  # _LIST
+                _, lst, n, allowed = item
+                elems = built[-n:] if n else []
+                if n:
+                    del built[-n:]
+                ok = True
+                if allowed is not None:
+                    for e in elems:
+                        if e.sig.tag not in allowed:
+                            ok = False
+                            break
+                built.append(TNode(sigs, sigs[lst.tag], elems, (), fresh(), validate=not ok))
+        return built[0]
 
     # -- TNode -> ast ---------------------------------------------------------
 
-    def from_tnode(self, tree: TNode) -> ast.AST:
-        """Convert a diffable TNode back into a CPython ast node."""
-        _ensure_recursion_limit()
-        return ast.fix_missing_locations(self._restore(tree))
+    def from_tnode(self, root: TNode) -> ast.AST:
+        """Convert a diffable TNode back into a CPython ast node, with the
+        positions ``ast.fix_missing_locations`` would give it.
 
-    def _restore(self, tree: TNode) -> ast.AST:
-        tag = tree.tag
-        plan = self.plans.get(tag)
-        if plan is None:
-            raise ValueError(f"not a Python ast constructor: {tag}")
-        cls = getattr(ast, tag)
-        kwargs: dict[str, Any] = {}
-        kid_iter = iter(tree.kids)
-        lit_iter = iter(tree.lits)
-        for fp in plan.fields:
-            if fp.kind == "lit":
-                kwargs[fp.name] = next(lit_iter)
-            elif fp.kind == "enum":
-                kwargs[fp.name] = getattr(ast, next(lit_iter))()
-            elif fp.kind == "enum_list":
-                kwargs[fp.name] = [getattr(ast, n)() for n in next(lit_iter)]
-            elif fp.kind == "kid":
-                kwargs[fp.name] = self._restore(next(kid_iter))
-            elif fp.kind == "opt":
-                opt = self.options[fp.sort_name]
-                inner = opt.get(next(kid_iter))
-                kwargs[fp.name] = None if inner is None else self._restore(inner)
-            elif fp.kind == "list":
-                lst = self.lists[fp.sort_name]
-                kwargs[fp.name] = [self._restore(el) for el in lst.elements(next(kid_iter))]
-            else:  # opt_list
-                opt = self.options[fp.sort_name]
-                lst = self.lists[opt.sort.name]
-                out = []
-                for el in lst.elements(next(kid_iter)):
-                    inner = opt.get(el)
-                    out.append(None if inner is None else self._restore(inner))
-                kwargs[fp.name] = out
-        return cls(**kwargs)
+        Iterative post-order: an ast node is constructed once all of its
+        kid nodes are, from pending frames ``(cls, kwargs, slots, count)``.
+        ``slots`` lists the kid-valued fields in order, each with its
+        shape: None for one node, an int for a list of that many nodes,
+        or one bool per element (False = a ``None`` element)."""
+        plans = self.plans
+        locations = self._locations
+        out: list[ast.AST] = []
+        stack: list[tuple[Optional[TNode], Any]] = [(root, None)]
+        while stack:
+            tree, frame = stack.pop()
+            if tree is None:
+                cls, kwargs, slots, count = frame
+                vals = out[-count:] if count else []
+                if count:
+                    del out[-count:]
+                at = 0
+                for name, shape in slots:
+                    if shape is None:
+                        kwargs[name] = vals[at]
+                        at += 1
+                    elif type(shape) is int:
+                        kwargs[name] = vals[at : at + shape]
+                        at += shape
+                    else:
+                        elems = []
+                        for present in shape:
+                            if present:
+                                elems.append(vals[at])
+                                at += 1
+                            else:
+                                elems.append(None)
+                        kwargs[name] = elems
+                out.append(cls(**kwargs))
+                continue
+            tag = tree.tag
+            plan = plans.get(tag)
+            if plan is None:
+                raise ValueError(f"not a Python ast constructor: {tag}")
+            kwargs = dict(locations[tag])
+            slots: list[tuple[str, Any]] = []
+            pending: list[TNode] = []
+            kid_iter = iter(tree.kids)
+            lit_iter = iter(tree.lits)
+            for fp in plan.fields:
+                kind = fp.kind
+                if kind == "lit":
+                    kwargs[fp.name] = next(lit_iter)
+                elif kind == "enum":
+                    kwargs[fp.name] = getattr(ast, next(lit_iter))()
+                elif kind == "enum_list":
+                    kwargs[fp.name] = [getattr(ast, n)() for n in next(lit_iter)]
+                elif kind == "kid":
+                    slots.append((fp.name, None))
+                    pending.append(next(kid_iter))
+                elif kind == "opt":
+                    inner = self.options[fp.sort_name].get(next(kid_iter))
+                    if inner is None:
+                        kwargs[fp.name] = None
+                    else:
+                        slots.append((fp.name, None))
+                        pending.append(inner)
+                elif kind == "list":
+                    elems = self.lists[fp.sort_name].elements(next(kid_iter))
+                    slots.append((fp.name, len(elems)))
+                    pending.extend(elems)
+                else:  # opt_list
+                    opt = self.options[fp.sort_name]
+                    flags = []
+                    for el in self.lists[opt.sort.name].elements(next(kid_iter)):
+                        inner = opt.get(el)
+                        flags.append(inner is not None)
+                        if inner is not None:
+                            pending.append(inner)
+                    slots.append((fp.name, tuple(flags)))
+            stack.append((None, (getattr(ast, tag), kwargs, slots, len(pending))))
+            stack.extend((t, None) for t in reversed(pending))
+        return out[0]
 
 
 @lru_cache(maxsize=1)
@@ -357,6 +524,16 @@ def parse_python(source: str, filename: str = "<string>") -> TNode:
 
 
 def unparse_python(tree: TNode) -> str:
-    """Render a diffable tree back into Python source text."""
-    node = from_tnode(tree)
-    return ast.unparse(node)
+    """Render a diffable tree back into Python source text.
+
+    Raises ``RecursionError`` up front, touching nothing, for a tree
+    taller than ``ast.unparse`` can take on this interpreter (see
+    :data:`_UNPARSE_MAX_HEIGHT`)."""
+    if _UNPARSE_MAX_HEIGHT is not None and tree.height > _UNPARSE_MAX_HEIGHT:
+        raise RecursionError(
+            f"tree of height {tree.height} is too deep for ast.unparse on "
+            f"CPython {sys.version_info[0]}.{sys.version_info[1]} "
+            f"(at most {_UNPARSE_MAX_HEIGHT})"
+        )
+    _ensure_recursion_limit()
+    return ast.unparse(from_tnode(tree))

@@ -49,10 +49,11 @@ Incremental maintenance: an arena attached to an
 kept in sync by :meth:`process_edit` — structural edits splice the
 sibling chains in O(arity) and mark the ancestor chain *dirty*;
 :meth:`reflow` then recomputes fingerprints/heights/sizes bottom-up over
-the dirty region only.  A :class:`~repro.core.diff.DiffSession` instead
-rolls its source arena forward with :meth:`apply_patch`, which replays a
-diff-emitted script structurally and overwrites the changed slots from
-the edit buffer's fresh-node record in O(changed).
+the dirty region only.  :meth:`apply_patch` instead rolls a source arena
+forward by replaying a diff-emitted script structurally and overwriting
+the changed slots from the edit buffer's fresh-node record in
+O(changed).  (No :class:`~repro.core.diff.DiffSession` uses an arena:
+sessions diff ``TNode`` objects directly.)
 
 The fingerprint columns hold one ``bytes`` object per slot rather than
 one contiguous buffer: the per-slot digests are *also* the keys of the
@@ -179,8 +180,8 @@ class TreeArena:
 
         With ``strict=True`` a duplicate URI — which is what a shared
         node object produces — raises the same :class:`ValueError` as the
-        object path's aliasing precheck; session source arenas require
-        proper trees.  Without it, duplicates merely set
+        object path's aliasing precheck; source arenas require proper
+        trees.  Without it, duplicates merely set
         ``has_duplicates`` (the index keeps the first occurrence), which
         is sufficient for read-only *target* arenas: the flat diff keeps
         all per-diff state in slot-indexed arrays, so sharing inside the
@@ -628,7 +629,7 @@ class TreeArena:
     # -- session roll-forward -------------------------------------------------
 
     def apply_patch(self, script, fresh: list[TNode]) -> None:
-        """Roll this (session source) arena forward across one diff round.
+        """Roll this (source) arena forward across one diff round.
 
         ``script`` is the just-emitted edit script and ``fresh`` the edit
         buffer's record of every TNode object Step 4 created (loads and
@@ -637,8 +638,7 @@ class TreeArena:
         ``fresh`` covers exactly the slots whose fingerprints, literals,
         heights or sizes changed, because the object patch rebuilds every
         ancestor of a change.  O(script + changed); raises
-        :class:`ArenaError` on any inconsistency (the session then falls
-        back to a full rebuild).
+        :class:`ArenaError` on any inconsistency.
         """
         for edit in script.primitives():
             t = type(edit)
@@ -832,8 +832,8 @@ class TreeArena:
 def arena_of(tree: TNode) -> TreeArena:
     """The (read-only) flat view of an object tree, cached on the root.
 
-    The warm diff loop hits the same target tree several times per
-    session round-robin; caching makes the flatten a once-per-tree cost.
+    A loop that diffs against the same target tree several times pays
+    the flatten once per tree.
     Safe because flat diffing keeps all per-diff state in external
     arrays — a cached target arena is never mutated.
     """

@@ -82,21 +82,12 @@ class DiffOptions:
         ``"none"`` skips validation.  Before the static preflight landed
         the fast configurations ran unchecked; now checked is the default
         at unchecked speed.
-    ``engine``
-        Which diff implementation a :class:`DiffSession` uses:
-        ``"flat"`` runs Steps 2–4 over :class:`~repro.core.arena.TreeArena`
-        columns (:mod:`repro.core.flatdiff`), ``"object"`` walks
-        :class:`~repro.core.tree.TNode` objects, and ``"auto"`` (default)
-        picks flat for sessions.  One-shot :func:`diff` always uses the
-        object path (building two arenas for a single diff buys nothing).
-        Both engines emit byte-identical scripts.
     """
 
     prefer_literal_matches: bool = True
     height_first: bool = True
     coalesce: bool = True
     typecheck: str = "static"
-    engine: str = "auto"
 
 
 DEFAULT_OPTIONS = DiffOptions()
@@ -843,20 +834,10 @@ class DiffSession:
     """Repeated diffing against an evolving source tree (Section 6's
     incremental workload).
 
-    By default (``engine="auto"`` → ``"flat"``) the session keeps its
-    source tree flattened in a :class:`~repro.core.arena.TreeArena` and
-    runs Steps 2–4 over the arena columns (:mod:`repro.core.flatdiff`).
-    Each target is flattened once (cached on the target's root), the
-    emitted script rolls the source arena forward in O(changed) via
-    :meth:`TreeArena.apply_patch`, and per-diff state lives in fresh
-    slot-indexed arrays — which also makes the object path's aliasing
-    precheck unnecessary: object sharing inside the target cannot alias
-    any per-diff state.  The source must still be a proper tree (unique
-    node objects); the strict flatten enforces that at construction.
-
-    With ``engine="object"`` the session walks ``TNode`` objects instead.
-    ``diff(this, that)`` pays an O(|this|) aliasing precheck on every
-    call; the object session caches the source tree's node-id set and
+    The session walks ``TNode`` objects directly, like :func:`diff`: a
+    freshly parsed target is diffed as it is, with no per-target
+    conversion.  ``diff(this, that)`` pays an O(|this|) aliasing precheck
+    on every call; the session caches the source tree's node-id set and
     rolls it forward in O(changed) per round from the edit buffer's
     record of freshly created nodes, so the warm loop only scans each new
     target once.  With ``check_aliasing=False`` even that scan is
@@ -864,34 +845,25 @@ class DiffSession:
     (true for reparsed documents) that shares no node objects with the
     session's tree.
 
-    The object path's rolled-forward cache is a *superset* of the live
-    tree's ids: ids of nodes that dropped out of the tree linger until
-    the periodic exact rebuild (every :data:`REBUILD_EVERY` rounds).  To
-    keep the check sound, the session pins the intervening tree versions
-    so a lingering id can never be recycled for a new node — a cache hit
-    therefore always means genuine object sharing with a recent version,
-    which is handled by rebuilding the target (at worst a false alarm
-    costing one O(n) rebuild, never a wrong diff).
+    The rolled-forward cache is a *superset* of the live tree's ids: ids
+    of nodes that dropped out of the tree linger until the periodic exact
+    rebuild (every :data:`REBUILD_EVERY` rounds).  To keep the check
+    sound, the session pins the intervening tree versions so a lingering
+    id can never be recycled for a new node — a cache hit therefore
+    always means genuine object sharing with a recent version, which is
+    handled by rebuilding the target (at worst a false alarm costing one
+    O(n) rebuild, never a wrong diff).
 
-    Both engines emit byte-identical scripts and validate them according
-    to ``options.typecheck`` (static preflight by default).  The
-    session's ``tree`` is always the latest patched tree; its URIs are
-    stable across rounds wherever subtrees were reused.
+    Emitted scripts are validated according to ``options.typecheck``
+    (static preflight by default).  The session's ``tree`` is always the
+    latest patched tree; its URIs are stable across rounds wherever
+    subtrees were reused.
     """
 
     #: rounds between exact rebuilds of the cached node-id set
     REBUILD_EVERY = 8
 
-    __slots__ = (
-        "tree",
-        "options",
-        "urigen",
-        "check_aliasing",
-        "engine",
-        "_arena",
-        "_ids",
-        "_pinned",
-    )
+    __slots__ = ("tree", "options", "urigen", "check_aliasing", "_ids", "_pinned")
 
     def __init__(
         self,
@@ -899,31 +871,12 @@ class DiffSession:
         options: DiffOptions = DEFAULT_OPTIONS,
         urigen: Optional[URIGen] = None,
         check_aliasing: bool = True,
-        engine: Optional[str] = None,
     ) -> None:
         self.tree = tree
         self.options = options
         self.urigen = urigen if urigen is not None else tree.sigs.urigen
         self.check_aliasing = check_aliasing
-        if engine is None:
-            engine = options.engine
-        if engine == "auto":
-            engine = "flat"
-        if engine not in ("flat", "object"):
-            raise ValueError(
-                f"unknown diff engine {engine!r}; expected 'flat', 'object', or 'auto'"
-            )
-        self.engine = engine
-        self._ids: Optional[set[int]] = None
-        self._arena = None
-        if engine == "flat":
-            from .arena import TreeArena
-
-            # strict: rejects improper (node-sharing) source trees with
-            # the same error as the object path's precheck
-            self._arena = TreeArena.from_tree(tree, strict=True)
-        elif check_aliasing:
-            self._ids = _check_source(tree)
+        self._ids: Optional[set[int]] = _check_source(tree) if check_aliasing else None
         # previous tree versions pinned until the next exact rebuild
         self._pinned: list[TNode] = []
 
@@ -934,45 +887,6 @@ class DiffSession:
         to the patched tree.  Returns ``(script, patched)`` like
         :func:`diff`."""
         opts = options if options is not None else self.options
-        if self.engine == "flat":
-            return self._diff_flat(that, opts)
-        return self._diff_object(that, opts)
-
-    def _diff_flat(
-        self, that: TNode, opts: DiffOptions
-    ) -> tuple[EditScript, TNode]:
-        from .arena import ArenaError, TreeArena, arena_of
-        from .flatdiff import diff_flat_prepared
-
-        stats = DiffStats() if OBS.enabled else None
-        target = arena_of(that)
-        script, patched, buf = diff_flat_prepared(
-            self._arena, target, opts, self.urigen, stats
-        )
-        validate_script(script, self.tree.sigs, opts.typecheck)
-        rolled = True
-        try:
-            self._arena.apply_patch(script, buf.fresh)
-        except ArenaError:
-            # lost sync (diagnosable via verify_consistent); fall back to
-            # a full rebuild of the patched tree — correctness never
-            # depends on the roll-forward
-            rolled = False
-            self._arena = TreeArena.from_tree(patched, strict=True)
-        if stats is not None:
-            m = _metrics()
-            m.counter("repro.session.diffs").inc()
-            m.counter("repro.session.fresh_nodes").inc(len(buf.fresh))
-            if rolled:
-                m.counter("repro.session.arena_rolls").inc()
-            else:
-                m.counter("repro.session.arena_rebuilds").inc()
-        self.tree = patched
-        return script, patched
-
-    def _diff_object(
-        self, that: TNode, opts: DiffOptions
-    ) -> tuple[EditScript, TNode]:
         check = self.check_aliasing
         stats = DiffStats() if OBS.enabled else None
         if check:

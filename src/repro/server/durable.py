@@ -86,7 +86,14 @@ from repro.core import PatchError, TNode
 from repro.core.serialize import SerializationError, script_from_json, script_to_json
 from repro.observability import OBS, metrics as _metrics, span as _span
 
-from .store import StoredTree, StoreError, TreeStore, UnknownFingerprint, fingerprint_tree
+from .store import (
+    StoredTree,
+    StoreError,
+    TreeStore,
+    UnknownFingerprint,
+    fingerprint_tree,
+    is_store_key,
+)
 
 
 class DataDirLocked(StoreError):
@@ -500,6 +507,10 @@ class DurableTreeStore(TreeStore):
         try:
             return super().get(fingerprint)
         except UnknownFingerprint:
+            # the key becomes a file name: only a well-formed store key
+            # may reach the filesystem (no "../" out of trees/)
+            if not is_store_key(fingerprint):
+                raise
             path = self._snapshot_path(fingerprint)
             if not path.exists():
                 raise

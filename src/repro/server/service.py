@@ -278,6 +278,8 @@ class ReproService:
                 # atomic semantics: the patch rolled back, the store is
                 # untouched; the client gets the structured rejection
                 raise ServiceError("conflict", f"patch rejected: {exc}") from None
+            except StoreError as exc:  # a result the store cannot file
+                raise ServiceError("bad_request", str(exc)) from None
         return {
             "tree": fingerprint,
             "fingerprint": entry.fingerprint,
@@ -365,7 +367,10 @@ class ReproService:
                     mtree, statuses = parallel_run
             if statuses is None:
                 mtree, statuses = self._batch_sequential(base, renamed)
-            staged = stage_patched(mtree, base.filename)
+            try:
+                staged = stage_patched(mtree, base.filename)
+            except StoreError as exc:
+                raise ServiceError("bad_request", str(exc)) from None
             out_fp = staged.fingerprint
 
             oracle_out: Optional[dict[str, Any]] = None

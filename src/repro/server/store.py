@@ -41,10 +41,11 @@ executor threads).
 
 from __future__ import annotations
 
+import re
 from typing import Any, Optional
 
 from repro.core import TNode, tnode_to_mtree
-from repro.core.tree import get_hash_scheme
+from repro.core.tree import HASH_SCHEMES, get_hash_scheme
 from repro.observability import OBS, metrics as _metrics
 
 
@@ -96,16 +97,38 @@ def fingerprint_tree(tree: TNode) -> str:
     return f"{get_hash_scheme()}-{(tree.structure_hash + tree.literal_hash).hex()}"
 
 
+#: Every key :func:`fingerprint_tree` can write: a scheme name, ``-``, and
+#: lowercase hex of two root digests (64 hex digits for blake2b, 128 for
+#: sha256).
+_STORE_KEY = re.compile(
+    "|".join(
+        f"{re.escape(name)}-[0-9a-f]{{{4 * len(digest(b''))}}}"
+        for name, digest in HASH_SCHEMES.items()
+    )
+)
+
+
+def is_store_key(key: str) -> bool:
+    """True iff ``key`` has the shape of a :func:`fingerprint_tree` key;
+    anything else can never name a stored tree."""
+    return _STORE_KEY.fullmatch(key) is not None
+
+
 def stage_patched(mtree, filename: str) -> StoredTree:
     """The store entry for a patched scratch ``MTree``, not yet inserted:
     rebuild the tree, canonicalize its URIs, unparse it, key it.  The
     one post-patch finish of :meth:`TreeStore.apply` and the daemon's
-    ``/apply-batch``."""
+    ``/apply-batch``.  Raises :class:`StoreError` for a result too deep
+    to unparse on this interpreter."""
     from repro.adapters.pyast import python_grammar, unparse_python
 
     g = python_grammar()
     rebuilt = g.grammar.parse_tuple(mtree.to_tuple()).with_canonical_uris()
-    return StoredTree(fingerprint_tree(rebuilt), unparse_python(rebuilt), filename, rebuilt)
+    try:
+        source = unparse_python(rebuilt)
+    except RecursionError as exc:
+        raise StoreError(f"{filename}: patched tree too deeply nested: {exc}") from None
+    return StoredTree(fingerprint_tree(rebuilt), source, filename, rebuilt)
 
 
 class TreeStore:

@@ -1,6 +1,7 @@
 """Unit tests for the struct-of-arrays tree core
 (:mod:`repro.core.arena`): flattening, incremental maintenance through
-the edit interface, session roll-forward, and the dense export."""
+the edit interface, script roll-forward (``apply_patch``), and the dense
+export."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import pytest
 
 from repro.core import (
     DiffOptions,
-    DiffSession,
     TreeArena,
     arena_of,
     diff_flat_prepared,
@@ -147,18 +147,6 @@ class TestSessionRollForward:
         assert arena.verify_consistent() == []
         fresh = TreeArena.from_tree(patched, strict=True)
         assert arena.tree_fingerprint() == fresh.tree_fingerprint()
-
-    def test_session_arena_stays_in_sync(self):
-        rng = random.Random(6)
-        cur = random_exp(rng, depth=4)
-        session = DiffSession(cur, urigen=URIGen(10**6))
-        for _ in range(10):
-            cur = mutate_exp(rng, cur, n_edits=2)
-            _, patched = session.diff(cur)
-            assert session._arena.verify_consistent() == []
-            fresh = TreeArena.from_tree(patched, strict=True)
-            assert session._arena.tree_fingerprint() == fresh.tree_fingerprint()
-            cur = patched
 
 
 class TestPackedExport:

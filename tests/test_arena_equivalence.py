@@ -10,9 +10,8 @@ Two families of properties:
   corpus-flavored Python modules (full variadic alignment paths).
 
 * **Incremental consistency** — an arena kept in sync by
-  :meth:`MTree.patch` / :meth:`DiffSession.diff` roll-forward is
-  indistinguishable (``tree_fingerprint``) from one rebuilt from
-  scratch after every change.
+  :meth:`MTree.patch` is indistinguishable (``tree_fingerprint``) from
+  one rebuilt from scratch after every change.
 """
 
 from __future__ import annotations
@@ -153,31 +152,22 @@ class TestIncrementalConsistency:
             cur = patched
         assert mt.arena.verify_consistent() == []
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_session_roll_forward_matches_rebuild(self, seed):
-        rng = random.Random(seed)
-        cur = random_exp(rng, depth=5)
-        session = DiffSession(cur, urigen=URIGen(_FRESH))
-        for _ in range(12):
-            nxt = mutate_exp(rng, cur, n_edits=rng.randint(1, 3))
-            _, patched = session.diff(nxt)
-            assert (
-                session._arena.tree_fingerprint()
-                == TreeArena.from_tree(patched, strict=True).tree_fingerprint()
-            )
-            cur = patched
-
     def test_default_session_validates_statically(self):
-        # the flat session's default pipeline: static pre-flight passes,
-        # and a flat diff equals an object diff end to end
+        # the default session's pipeline: static pre-flight passes, and
+        # each round's script equals a flat diff over fresh arenas
         rng = random.Random(3)
         base = random_exp(rng, depth=5)
-        flat = DiffSession(base, urigen=URIGen(_FRESH))
-        obj = DiffSession(base, engine="object", urigen=URIGen(_FRESH))
+        session = DiffSession(base, urigen=URIGen(_FRESH))
+        flat_urigen = URIGen(_FRESH)
         cur = base
         for _ in range(8):
             cur = mutate_exp(rng, cur, n_edits=2)
-            f_script, f_patched = flat.diff(cur)
-            o_script, _ = obj.diff(cur)
-            assert f_script == o_script
-            cur = f_patched
+            f_script, _, _ = diff_flat_prepared(
+                TreeArena.from_tree(session.tree, strict=True),
+                TreeArena.from_tree(cur),
+                _NO_CHECK,
+                flat_urigen,
+            )
+            s_script, s_patched = session.diff(cur)
+            assert s_script == f_script
+            cur = s_patched

@@ -132,3 +132,43 @@ def test_deep_tuple_roundtrip(scheme):
     )
     assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
     assert proc.stdout.strip() == "ok"
+
+
+#: a ``1 + 1 + ...`` module built as an ast (so no parser limit applies),
+#: through the Python adapter both ways and out through ast.unparse
+DEEP_PYTHON = """
+import ast, sys
+from repro.adapters.pyast import from_tnode, to_tnode, unparse_python
+from repro.core import hash_scheme
+depth = int(sys.argv[2])
+with hash_scheme(sys.argv[1]):
+    expr = ast.Constant(1)
+    for _ in range(depth):
+        expr = ast.BinOp(expr, ast.Add(), ast.Constant(1))
+    module = ast.Module([ast.Assign([ast.Name("x", ast.Store())], expr)], [])
+    tree = to_tnode(module)
+    assert tree.height > depth
+    assert to_tnode(from_tnode(tree)).tree_equal(tree)
+    try:
+        source = unparse_python(tree)
+    except RecursionError:
+        # CPython < 3.11: refused up front instead of overflowing the C stack
+        assert sys.version_info < (3, 11)
+        print("refused")
+    else:
+        assert source == "x = " + " + ".join(["1"] * (depth + 1))
+        print("unparsed")
+"""
+
+
+def test_deep_python_source(scheme):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_PYTHON, scheme, "20000"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert proc.stdout.strip() == (
+        "refused" if sys.version_info < (3, 11) else "unparsed"
+    )

@@ -237,10 +237,9 @@ class TestDiffInstrumentation:
         assert snap["histograms"]["repro.patch.apply.ms"]["count"] == 1
 
     def test_session_counters(self):
-        # the generation/id-cache counters are object-engine machinery
         e = EXP
         tree = e.Add(e.Num(1), e.Num(2))
-        session = DiffSession(tree, urigen=URIGen(10**8), engine="object")
+        session = DiffSession(tree, urigen=URIGen(10**8))
         obs.enable()
         rounds = DiffSession.REBUILD_EVERY + 2
         for i in range(rounds):
@@ -260,7 +259,7 @@ class TestDiffInstrumentation:
     def test_session_id_cache_hit_on_aliased_target(self):
         e = EXP
         tree = e.Add(e.Num(1), e.Num(2))
-        session = DiffSession(tree, urigen=URIGen(10**8), engine="object")
+        session = DiffSession(tree, urigen=URIGen(10**8))
         obs.enable()
         # the session's own tree shares every node with itself: a cache hit
         session.diff(session.tree)
@@ -269,56 +268,22 @@ class TestDiffInstrumentation:
         assert c["repro.session.id_cache_hits"] == 1
         assert c["repro.diff.dealias_rebuilds"] == 1
 
-    def test_flat_session_counters(self):
-        e = EXP
-        tree = e.Add(e.Num(1), e.Num(2))
-        session = DiffSession(tree, urigen=URIGen(10**8))  # default: flat
-        obs.enable()
-        for i in range(3):
-            session.diff(e.Add(e.Num(i), e.Num(i + 1)))
-        obs.disable()
-        c = obs.snapshot()["counters"]
-        assert c["repro.session.diffs"] == 3
-        assert c["repro.session.fresh_nodes"] > 0
-        # the source arena rolls forward in place every round...
-        assert c["repro.session.arena_rolls"] == 3
-        assert not c.get("repro.session.arena_rebuilds")
-        # ...and each fresh target is flattened exactly once
-        assert c["repro.arena.flattens"] == 3
-        # flat-engine sessions never touch the object path's id cache
-        assert not c.get("repro.session.id_cache_misses")
-
-    def test_flat_session_rebuild_fallback_is_distinguishable(self, monkeypatch):
-        """Losing arena sync mid-roll falls back to a full rebuild; the
-        ``arena_rebuilds`` counter (vs ``arena_rolls``) is what makes the
-        degraded path visible, and the session must stay correct after."""
-        from repro.core import arena as arena_mod
-
+    def test_session_never_flattens(self):
+        # a session diffs each fresh target as TNode objects: no per-target
+        # TreeArena is built, counted, or cached on the target's root
         e = EXP
         session = DiffSession(e.Add(e.Num(1), e.Num(2)), urigen=URIGen(10**8))
+        targets = [e.Add(e.Num(i), e.Mul(e.Num(i), e.Num(2))) for i in range(4)]
         obs.enable()
-        session.diff(e.Add(e.Num(5), e.Num(2)))  # healthy roll-forward
-
-        real_apply = arena_mod.TreeArena.apply_patch
-        calls = {"broken": 0}
-
-        def broken_apply(self, script, fresh):
-            calls["broken"] += 1
-            raise arena_mod.ArenaError("injected roll-forward desync")
-
-        monkeypatch.setattr(arena_mod.TreeArena, "apply_patch", broken_apply)
-        script, patched = session.diff(e.Add(e.Num(5), e.Num(9)))
-        assert script and patched.size == session.tree.size
-        monkeypatch.setattr(arena_mod.TreeArena, "apply_patch", real_apply)
-        # the rebuilt arena is consistent: the next diff rolls normally
-        session.diff(e.Add(e.Num(7), e.Num(9)))
+        for t in targets:
+            session.diff(t)
         obs.disable()
         c = obs.snapshot()["counters"]
-        assert calls["broken"] == 1
-        assert c["repro.session.diffs"] == 3
-        # exactly one rebuild, and rolls/rebuilds partition the diffs
-        assert c["repro.session.arena_rebuilds"] == 1
-        assert c["repro.session.arena_rolls"] == 2
+        assert c["repro.session.diffs"] == len(targets)
+        assert "repro.arena.flattens" not in c
+        assert all(getattr(t, "_arena", None) is None for t in targets)
+        with pytest.raises(TypeError):
+            DiffSession(e.Num(1), engine="flat")
 
 
 class TestIncrementalInstrumentation:

@@ -16,6 +16,7 @@ from repro.adapters.pyast import (
     unparse_python,
 )
 from repro.adapters.asdl import parse_asdl
+from repro.core import TNode
 
 # one source file that tries to use everything
 KITCHEN_SINK = '''
@@ -196,3 +197,125 @@ def test_type_comments_round_trip():
     node = ast.parse("x = 1  # type: int\n", type_comments=True)
     t = to_tnode(node)
     assert ast.dump(from_tnode(t)) == ast.dump(node)
+
+
+# -- the iterative converters equal the recursive definitions -------------
+
+
+def _convert_rec(g, node):
+    """The recursive ast -> TNode definition (validating constructors
+    throughout) that the iterative converter replaced."""
+    tag = type(node).__name__
+    plan = g.plans.get(tag)
+    if plan is None:
+        raise ValueError(f"unsupported ast node type {tag}")
+    kids, lits = [], []
+    for fp in plan.fields:
+        value = getattr(node, fp.name, None)
+        if fp.kind == "lit":
+            lits.append(value)
+        elif fp.kind == "enum":
+            lits.append(type(value).__name__)
+        elif fp.kind == "enum_list":
+            lits.append(tuple(type(v).__name__ for v in value))
+        elif fp.kind == "kid":
+            kids.append(_convert_rec(g, value))
+        elif fp.kind == "opt":
+            opt = g.options[fp.sort_name]
+            kids.append(opt.build(None if value is None else _convert_rec(g, value)))
+        elif fp.kind == "list":
+            lst = g.lists[fp.sort_name]
+            kids.append(lst.build([_convert_rec(g, v) for v in value or []]))
+        else:
+            opt = g.options[fp.sort_name]
+            lst = g.lists[opt.sort.name]
+            kids.append(
+                lst.build(
+                    [opt.build(None if v is None else _convert_rec(g, v)) for v in value or []]
+                )
+            )
+    return TNode(g.grammar.sigs, g.grammar.sigs[tag], kids, lits, g.grammar.urigen.fresh())
+
+
+def _restore_rec(g, tree):
+    """The recursive TNode -> ast definition (before positions)."""
+    kwargs = {}
+    kid_iter, lit_iter = iter(tree.kids), iter(tree.lits)
+    for fp in g.plans[tree.tag].fields:
+        if fp.kind == "lit":
+            kwargs[fp.name] = next(lit_iter)
+        elif fp.kind == "enum":
+            kwargs[fp.name] = getattr(ast, next(lit_iter))()
+        elif fp.kind == "enum_list":
+            kwargs[fp.name] = [getattr(ast, n)() for n in next(lit_iter)]
+        elif fp.kind == "kid":
+            kwargs[fp.name] = _restore_rec(g, next(kid_iter))
+        elif fp.kind == "opt":
+            inner = g.options[fp.sort_name].get(next(kid_iter))
+            kwargs[fp.name] = None if inner is None else _restore_rec(g, inner)
+        elif fp.kind == "list":
+            elems = g.lists[fp.sort_name].elements(next(kid_iter))
+            kwargs[fp.name] = [_restore_rec(g, el) for el in elems]
+        else:
+            opt = g.options[fp.sort_name]
+            kwargs[fp.name] = [
+                None if opt.get(el) is None else _restore_rec(g, opt.get(el))
+                for el in g.lists[opt.sort.name].elements(next(kid_iter))
+            ]
+    return getattr(ast, tree.tag)(**kwargs)
+
+
+def _snapshot(tree):
+    """Every node's tag, literals, hashes and URI (relative to the first
+    URI drawn), in pre-order."""
+    nodes = list(tree.iter_subtree())
+    first = min(n.uri for n in nodes)
+    return [
+        (n.tag, n.lits, n.structure_hash, n.literal_hash, n.uri - first)
+        for n in nodes
+    ]
+
+
+def _modules():
+    import argparse
+    import dataclasses
+
+    yield ast.parse(KITCHEN_SINK)
+    yield ast.parse("x = 1  # type: int\n", type_comments=True)
+    yield ast.parse("(int, str) -> list[int]", mode="func_type")
+    for mod in (argparse, dataclasses, ast):
+        with open(mod.__file__, encoding="utf8") as fh:
+            yield ast.parse(fh.read())
+
+
+def test_iterative_converters_equal_recursive_definitions():
+    g = python_grammar()
+    for module in _modules():
+        tree = to_tnode(module)
+        assert _snapshot(tree) == _snapshot(_convert_rec(g, module))
+        restored = from_tnode(tree)
+        reference = ast.fix_missing_locations(_restore_rec(g, tree))
+        assert ast.dump(restored, include_attributes=True) == ast.dump(
+            reference, include_attributes=True
+        )
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        ast.Module(body=[ast.Name(id="x", ctx=ast.Load())], type_ignores=[]),
+        ast.Expr(value=ast.Pass()),
+        ast.Return(value=ast.Pass()),
+        ast.Module(body=[ast.If(test=ast.Pass(), body=[], orelse=[])], type_ignores=[]),
+        ast.Dict(keys=[None, ast.Pass()], values=[ast.Constant(1), ast.Constant(2)]),
+    ],
+    ids=["list-element", "kid", "option", "nested-kid", "option-list"],
+)
+def test_ill_sorted_ast_raises_signature_error(node):
+    from repro.core import SignatureError
+
+    with pytest.raises(SignatureError) as reference:
+        _convert_rec(python_grammar(), node)
+    with pytest.raises(SignatureError) as got:
+        to_tnode(node)
+    assert str(got.value) == str(reference.value)

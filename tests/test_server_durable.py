@@ -469,7 +469,7 @@ class TestDurableTreeStore:
         store = DurableTreeStore(tmp_path)
         try:
             assert store.recovery.problems == []
-            bogus = "9" * 64
+            bogus = "blake2b-" + "9" * 64  # well-formed, so the disk is read
             (tmp_path / "trees" / f"{bogus}.json").write_text("not json", "utf8")
             for _ in range(5):
                 with pytest.raises(UnknownFingerprint):
@@ -477,6 +477,47 @@ class TestDurableTreeStore:
             assert store.recovery.problems == []
         finally:
             store.close()
+
+    def test_traversal_key_never_reaches_the_filesystem(self, tmp_path):
+        """A ``../`` key must not open, decode or parse a snapshot-shaped
+        file outside the data dir: only a key of the store's own format
+        may become a file name."""
+        from repro import observability as obs
+
+        fp = TreeStore().put_source(BEFORE, "a.py")[0].fingerprint
+        outside = tmp_path / "elsewhere"
+        outside.mkdir()
+        doc = {"fingerprint": fp, "filename": "a.py", "source": BEFORE}
+        (outside / f"{fp}.json").write_text(json.dumps(doc), "utf8")
+        store = DurableTreeStore(tmp_path / "data")
+        obs.reset()
+        obs.enable()
+        try:
+            with pytest.raises(UnknownFingerprint):
+                store.get(f"../../elsewhere/{fp}")
+            counters = obs.snapshot()["counters"]
+            for name in ("disk_hits", "fingerprint_mismatches", "snapshot_errors"):
+                assert counters.get(f"repro.server.durable.{name}", 0) == 0, name
+            assert fp not in store and len(store) == 0
+        finally:
+            obs.disable()
+            obs.reset()
+            store.close()
+
+    def test_store_key_format(self):
+        from repro.server.store import is_store_key
+
+        assert is_store_key("blake2b-" + "0a" * 32)
+        assert is_store_key("sha256-" + "f" * 128)
+        for bad in (
+            "blake2b-" + "0a" * 31,  # short
+            "blake2b-" + "0A" * 32,  # uppercase
+            "sha256-" + "f" * 64,  # blake2b length under sha256
+            "md5-" + "0" * 64,  # unknown scheme
+            "blake2b-" + "0" * 64 + "\n",
+            "../../elsewhere/blake2b-" + "0" * 64,
+        ):
+            assert not is_store_key(bad), bad
 
 
 # -- locking ----------------------------------------------------------------
