@@ -36,10 +36,10 @@ snapshot JSON, which CI uploads as a build artifact).
 by default in the Chrome trace-event format (load it at
 https://ui.perfetto.dev), or OTLP-shaped JSON with ``--trace-format
 otlp``.  For ``batch``, spans from the driver and every pool worker land
-in one trace (worker telemetry is spilled per process and merged), and
-``--sample 1/N`` head-samples the per-pair subtrees.  ``repro trace``
-renders any exported trace back as a text timeline or converts between
-formats.
+in one trace (each worker's spans come back with its task result and
+join the driver's trace buffer), and ``--sample 1/N`` head-samples the
+per-pair subtrees.  ``repro trace`` renders any exported trace back as
+a text timeline or converts between formats.
 
 The CLI exercises the same public API the examples use; it exists so the
 tool is usable on real files without writing a driver script.
@@ -465,23 +465,14 @@ def cmd_batch(args: argparse.Namespace) -> int:
         retries=args.retries,
         fallback_replace=args.fallback_replace,
     )
-    collector = None
-    spill_ctx = None
     if args.metrics:
         obs.enable()
     if args.trace:
-        import tempfile
-
         obs.reset_tracing()
         try:
             obs.enable_tracing(sample=args.sample)
         except ValueError as exc:
             raise CLIError("--sample", str(exc)) from None
-        # spill directory: per-worker telemetry survives worker death
-        spill_ctx = tempfile.TemporaryDirectory(prefix="repro-trace-")
-        collector = obs.TelemetryCollector(
-            trace=True, sample=args.sample, spill_dir=spill_ctx.name
-        )
 
     out_fh = open(args.out, "w", encoding="utf8") if args.out else sys.stdout
 
@@ -490,7 +481,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         out_fh.flush()
 
     try:
-        summary = run_batch(pairs, config, emit=emit, collector=collector)
+        summary = run_batch(pairs, config, emit=emit)
     finally:
         if args.out:
             out_fh.close()
@@ -501,21 +492,17 @@ def cmd_batch(args: argparse.Namespace) -> int:
         if args.metrics or args.trace:
             obs.disable()
             obs.reset()
-    if collector is not None:
-        spans = collector.finish()
+    if args.trace:
+        spans = obs.take_spans()
         obs.write_trace(args.trace, spans, args.trace_format)
         pids = len({s.get("pid") for s in spans})
-        dropped = (
-            f", {collector.dropped_spans} dropped" if collector.dropped_spans else ""
-        )
+        dropped = f", {obs.TRACE.dropped} dropped" if obs.TRACE.dropped else ""
         print(
             f"repro: trace: {len(spans)} span(s) from {pids} process(es) "
             f"-> {args.trace}{dropped}",
             file=sys.stderr,
         )
         obs.reset_tracing()
-        if spill_ctx is not None:
-            spill_ctx.cleanup()
     s = summary.as_dict()
     degraded = f"{s['degraded']} degraded, " if s["degraded"] else ""
     print(
@@ -537,7 +524,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Inspect or convert an exported trace file.
 
     Reads any format this tool writes (Chrome trace-event JSON, OTLP
-    JSON, raw span lists, per-worker spill JSONL) and renders a causal
+    JSON) as well as raw span lists and span JSONL, and renders a causal
     text timeline on stdout — or, with ``--out``, re-exports the spans
     in the requested format.
 
@@ -912,7 +899,7 @@ def main(argv: list[str] | None = None) -> int:
     p_trace = sub.add_parser(
         "trace", help="render or convert an exported trace file"
     )
-    p_trace.add_argument("file", help="trace file (chrome/OTLP/raw/spill JSONL)")
+    p_trace.add_argument("file", help="trace file (chrome/OTLP/raw span list/span JSONL)")
     p_trace.add_argument(
         "--format",
         default="chrome",

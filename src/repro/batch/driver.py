@@ -24,14 +24,12 @@ each row bumps ``repro.batch.pairs`` / ``repro.batch.failures`` and
 feeds the ``repro.batch.worker.ms`` histogram when instrumentation is
 enabled.  With instrumentation on, the driver additionally hands the
 pool a :class:`~repro.observability.aggregate.TelemetryCollector`:
-every pair task carries an obs envelope (trace context + sampling +
-optional spill directory), workers return per-pair span/metric deltas,
-and the pool merges them into the driver's registry — so ``snapshot()``
-after a batch run covers driver *and* workers, and the collector holds
-the causal span pool for timeline export.  Callers may pass their own
-collector to :func:`run_batch` (the CLI does, to choose a spill
-directory and export the trace); otherwise one is created internally
-whenever instrumentation is enabled.
+every pair task carries an obs envelope (trace context + sampling),
+workers return per-pair span/metric deltas inside the task result, and
+the pool merges them into the driver's registry and trace buffer — so
+``snapshot()`` after a batch run covers driver *and* workers, and
+``take_spans()`` returns the causal trace of the run across all
+processes.
 """
 
 from __future__ import annotations
@@ -94,10 +92,8 @@ class BatchSummary:
     worker_ms: float = 0.0
     elapsed_s: float = 0.0
     workers: int = 1
-    #: pid -> merged metrics snapshot, one entry per pool worker that
-    #: returned telemetry (empty when instrumentation was off).
-    per_worker: dict[int, dict[str, Any]] = field(default_factory=dict)
-    #: collector's aggregation summary (envelopes, span counts), if any.
+    #: collector's aggregation summary (envelopes, worker pids, span
+    #: counts); ``None`` when instrumentation was off.
     telemetry: Optional[dict[str, Any]] = None
 
     @property
@@ -344,7 +340,6 @@ def run_batch(
     config: BatchConfig = DEFAULT_CONFIG,
     emit: Optional[Callable[[dict], None]] = None,
     pair_fn: Optional[Callable[[str, str], dict]] = None,
-    collector: Optional[TelemetryCollector] = None,
 ) -> BatchSummary:
     """Diff every file pair, streaming result rows to ``emit``.
 
@@ -354,12 +349,10 @@ def run_batch(
     crashing functions to exercise the isolation machinery); it must be
     a picklable top-level callable.
 
-    When instrumentation is enabled, worker telemetry is aggregated
-    through ``collector`` (one is created internally if the caller did
-    not pass one): worker metric deltas merge into the driver registry,
-    ``summary.per_worker`` breaks them down by pid, and the collector's
-    span pool (``collector.finish()``) holds the causal trace of the run
-    across all processes.
+    When instrumentation is enabled, worker metric deltas merge into the
+    driver registry and worker spans into its trace buffer (drain them
+    with ``take_spans()``), and ``summary.telemetry`` counts what was
+    absorbed.
     """
     if pair_fn is None and config.fallback_replace:
         from .worker import diff_pair_degrading
@@ -368,10 +361,11 @@ def run_batch(
     pair_list = [(str(b), str(a)) for b, a in pairs]
     summary = BatchSummary(workers=config.resolved_workers())
     sink = _RowSink(summary, emit)
-    if collector is None and OBS.enabled:
-        collector = TelemetryCollector(
-            trace=tracing_enabled(), sample=TRACE.sample_n
-        )
+    collector = (
+        TelemetryCollector(trace=tracing_enabled(), sample=TRACE.sample_n)
+        if OBS.enabled
+        else None
+    )
     started = time.perf_counter()
     with _span("repro.batch.run") as sp:
         sp.set_attrs(pairs=len(pair_list), workers=summary.workers)
@@ -380,7 +374,5 @@ def run_batch(
         _run_pool(pair_list, config, sink, pair_fn, collector)
     summary.elapsed_s = time.perf_counter() - started
     if collector is not None:
-        collector.absorb_spills()
-        summary.per_worker = collector.per_worker
         summary.telemetry = collector.summary()
     return summary

@@ -230,8 +230,8 @@ def pair_task(
     driver's trace context as a resample point, and wraps the pair in a
     ``repro.batch.pair`` span carrying its paths and outcome.  Returns
     ``{"result": row, "telemetry": ...}``, where ``telemetry`` is this
-    worker's span/metric delta (``None`` when instrumentation is off or
-    the delta was spilled to disk).
+    task's span/metric delta (``None`` when instrumentation is off) —
+    the only way worker telemetry reaches the driver.
     """
     from repro.observability import OBS, REGISTRY, remote_context, span as _span
     from repro.observability.aggregate import worker_setup, worker_telemetry

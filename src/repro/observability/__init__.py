@@ -17,8 +17,10 @@ incremental engine.  This subsystem makes them first-class:
   sampling (``OBS_SAMPLE=1/N``), and cross-process propagation
   (:func:`current_context` / :class:`remote_context`);
 * :mod:`repro.observability.aggregate` — the worker-pool glue: obs
-  envelopes, fork-safe worker setup, per-worker telemetry deltas with
-  JSONL spill, and the driver-side :class:`TelemetryCollector`;
+  envelopes, fork-safe worker setup, per-task telemetry deltas that
+  return inside the task result, and the caller-side
+  :class:`TelemetryCollector` that merges them into this process's
+  registry and trace buffer;
 * :mod:`repro.observability.export` — Chrome trace-event JSON, OTLP-shaped
   JSON, and plain-text timeline rendering of collected spans, plus the
   Prometheus text and human-readable renderings of registry snapshots.
@@ -43,12 +45,7 @@ stratum — never per node.  Typical usage::
     obs.disable(); obs.reset()
 """
 
-from .aggregate import (
-    TelemetryCollector,
-    read_spill_dir,
-    worker_setup,
-    worker_telemetry,
-)
+from .aggregate import TelemetryCollector, worker_setup, worker_telemetry
 from .export import (
     chrome_trace,
     otlp_spans,
@@ -115,7 +112,6 @@ __all__ = [
     "parse_sample",
     "prometheus_text",
     "read_spans",
-    "read_spill_dir",
     "remote_context",
     "render_report",
     "render_timeline",

@@ -1,8 +1,8 @@
 """Timeline export: Chrome trace-event JSON and OTLP-shaped span files.
 
 Consumes the span records drained from the trace buffer
-(:func:`repro.observability.tracing.take_spans`) or shipped back by
-batch workers, and renders them for external tooling:
+(:func:`repro.observability.tracing.take_spans`, which holds pool
+workers' spans too) and renders them for external tooling:
 
 * :func:`chrome_trace` — the Trace Event Format understood by Perfetto
   (https://ui.perfetto.dev) and ``chrome://tracing``: complete
@@ -17,8 +17,7 @@ batch workers, and renders them for external tooling:
 * :func:`read_spans` — the inverse: load span records back from an OTLP
   file, a Chrome trace file (as long as it was written by
   :func:`chrome_trace`, which keeps the ids in ``args``), a raw span
-  list, or a JSONL stream of records/telemetry envelopes (the
-  per-worker spill format);
+  list, or a JSONL stream of records;
 * :func:`render_timeline` — a human-readable causal tree for terminal
   inspection.
 
@@ -264,9 +263,9 @@ def _record_like(obj: Any) -> bool:
 
 
 def read_spans(path: str) -> list[dict[str, Any]]:
-    """Load span records from any format this module (or the batch
-    worker spill) writes: OTLP JSON, Chrome trace JSON, a raw JSON list
-    of records, or JSONL of records / telemetry envelopes.
+    """Load span records from a trace file: OTLP JSON, Chrome trace
+    JSON, a raw JSON list of records, or JSONL with one record per line
+    (a truncated line is skipped).
 
     Raises ``ValueError`` when the file holds none of those shapes.
     """
@@ -283,12 +282,10 @@ def read_spans(path: str) -> list[dict[str, Any]]:
             return _records_from_chrome(doc)
         if _record_like(doc):
             return [doc]
-        if "spans" in doc:  # a single telemetry envelope
-            return list(doc["spans"])
         raise ValueError(f"{path}: unrecognized trace document shape")
     if isinstance(doc, list):
         return [r for r in doc if _record_like(r)]
-    # JSONL: one record or telemetry envelope per line
+    # JSONL: one record per line
     out: list[dict[str, Any]] = []
     parsed_any = False
     for line in text.splitlines():
@@ -302,8 +299,6 @@ def read_spans(path: str) -> list[dict[str, Any]]:
         parsed_any = True
         if _record_like(obj):
             out.append(obj)
-        elif isinstance(obj, dict) and "spans" in obj:
-            out.extend(obj["spans"])
     if not parsed_any:
         raise ValueError(f"{path}: not JSON, JSONL, or a known trace format")
     return out

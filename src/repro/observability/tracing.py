@@ -44,8 +44,9 @@ Span records are plain dicts (picklable, JSON-ready)::
 
 They accumulate in a bounded process-local buffer; :func:`take_spans`
 drains it (the exporters in :mod:`repro.observability.export` consume
-the drained list, the batch worker ships it back in its telemetry
-envelope).
+the drained list).  A pool worker ships its buffer back inside each
+task result, and the caller merges it into its own buffer under the
+same bound (:mod:`repro.observability.aggregate`).
 """
 
 from __future__ import annotations
@@ -142,6 +143,27 @@ class _TraceState:
                 self.dropped += 1
                 return
             self.buffer.append(rec)
+
+    def drain(self) -> tuple[list[dict[str, Any]], int]:
+        """Take the buffered spans and the drop count, zeroing both —
+        the disjoint per-task delta a pool worker ships back."""
+        with self._lock:
+            spans, dropped = self.buffer, self.dropped
+            self.buffer, self.dropped = [], 0
+        return spans, dropped
+
+    def merge(self, spans: list[dict[str, Any]], dropped: int) -> int:
+        """Fold a delta drained in another process into this buffer.
+
+        The spans are kept under the same ``max_spans`` bound as local
+        ones, each span past it counted as dropped; the sender's own
+        ``dropped`` adds once.  Returns how many spans were kept.
+        """
+        with self._lock:
+            kept = spans[: max(0, self.max_spans - len(self.buffer))]
+            self.buffer.extend(kept)
+            self.dropped += dropped + len(spans) - len(kept)
+        return len(kept)
 
 
 #: Process-wide tracing state (one per driver / worker process).

@@ -3,10 +3,11 @@
 :class:`DiffPool` is a ``ProcessPoolExecutor`` that carries the obs
 **envelope** of a :class:`~repro.observability.aggregate.TelemetryCollector`
 on every task and absorbs the workers' span/metric deltas when a task
-is resolved, so the caller's registry covers the whole pool.  It owns
-the one deadline mechanism: a task that outlives its deadline has every
-pool process SIGKILL'd and the pool rebuilt, which stops a task stuck
-in C code or with its signals masked as surely as one in a Python loop.
+is resolved, so the caller's registry and trace buffer cover the whole
+pool.  It owns the one deadline mechanism: a task that outlives its
+deadline has every pool process SIGKILL'd and the pool rebuilt, which
+stops a task stuck in C code or with its signals masked as surely as
+one in a Python loop.
 
 This module sits outside :mod:`repro.server` on purpose: the batch
 driver and every worker it forks import only what a pair diff needs,
@@ -77,10 +78,10 @@ class DiffPool:
 
     ``submit`` returns the executor's future (awaitable via
     ``asyncio.wrap_future``); :meth:`finish` normalizes the two-part
-    result, absorbing worker telemetry into ``collector`` so the
-    caller's registry stays the single pane of glass.  A broken pool (a
-    worker died mid-task) is rebuilt transparently; the in-flight task
-    gets a structured error instead of a hung future.
+    result, absorbing worker telemetry through ``collector`` so the
+    caller's registry and trace buffer stay the single pane of glass.
+    A broken pool (a worker died mid-task) is rebuilt transparently; the
+    in-flight task gets a structured error instead of a hung future.
     """
 
     def __init__(self, workers: int, collector=None) -> None:

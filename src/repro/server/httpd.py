@@ -42,7 +42,13 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.observability import OBS, chrome_trace, metrics as _metrics, otlp_spans
+from repro.observability import (
+    OBS,
+    chrome_trace,
+    metrics as _metrics,
+    otlp_spans,
+    take_spans,
+)
 
 from .service import ReproService, ServiceError
 
@@ -296,14 +302,13 @@ class ReproHTTPServer:
                 text = self.service.metrics_text()
                 return 200, text, text
             if path == "/trace":
-                spans = self.service.drain_spans()
+                # check the format before draining: a bad request must
+                # not throw the buffered spans away
                 fmt = query.get("format", "chrome")
-                if fmt == "otlp":
-                    doc = otlp_spans(spans)
-                elif fmt == "chrome":
-                    doc = chrome_trace(spans)
-                else:
+                if fmt not in ("chrome", "otlp"):
                     raise _HTTPError(400, f"unknown trace format {fmt!r}")
+                spans = take_spans()
+                doc = chrome_trace(spans) if fmt == "chrome" else otlp_spans(spans)
                 return 200, doc, json.dumps(doc) + "\n"
             if path == "/trees":
                 return 200, await self._dispatch("list_trees", {}), None

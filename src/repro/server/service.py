@@ -38,7 +38,6 @@ from repro.observability import (
     TelemetryCollector,
     metrics as _metrics,
     span as _span,
-    take_spans,
 )
 
 from .pool import DiffPool, diff_trees, pool_diff_task
@@ -108,10 +107,9 @@ class ReproService:
         self.gc_pauses = gc_pauses
         #: per-operation deadline for pooled diffs (None = no deadline)
         self.op_timeout_s = op_timeout_s if op_timeout_s and op_timeout_s > 0 else None
-        self.collector = (
-            collector if collector is not None else TelemetryCollector()
-        )
-        self.pool = DiffPool(workers, self.collector) if workers > 0 else None
+        if collector is None:
+            collector = TelemetryCollector()
+        self.pool = DiffPool(workers, collector) if workers > 0 else None
         self._compute_lock = threading.Lock()
         self._started = time.time()
         self._requests = 0
@@ -612,14 +610,6 @@ class ReproService:
             if self.gc_pauses is not None:
                 self.gc_pauses.publish(_metrics())
         return prometheus_text(snapshot())
-
-    def drain_spans(self) -> list[dict[str, Any]]:
-        """All span records collected since the last drain: the daemon's
-        own trace buffer plus everything workers shipped back."""
-        spans = list(self.collector.spans)
-        self.collector.spans = []
-        spans.extend(take_spans())
-        return spans
 
     def close(self) -> None:
         if self.pool is not None:

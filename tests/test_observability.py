@@ -29,10 +29,15 @@ from .util import EXP
 
 @pytest.fixture(autouse=True)
 def _clean_registry():
-    """Every test starts and ends disabled with a zeroed registry."""
+    """Every test starts and ends disabled with a zeroed registry and an
+    empty trace buffer (earlier test modules may leave spans in it)."""
+    obs.disable_tracing()
+    obs.reset_tracing()
     obs.disable()
     obs.reset()
     yield
+    obs.disable_tracing()
+    obs.reset_tracing()
     obs.disable()
     obs.reset()
 

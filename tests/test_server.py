@@ -711,6 +711,7 @@ class TestHTTPDaemon:
 
     def test_trace_has_one_trace_per_request(self, daemon):
         client, _ = daemon
+        obs.reset_tracing()  # drain from an empty buffer
         client.health()
         client.health()
         doc = client.trace()
@@ -720,6 +721,21 @@ class TestHTTPDaemon:
             if e.get("ph") == "X" and e.get("name") == "repro.server.request"
         ]
         assert len(events) >= 2
+
+    def test_bad_trace_format_keeps_the_spans(self, daemon):
+        client, _ = daemon
+        obs.reset_tracing()  # drain from an empty buffer
+        client.health()
+        with pytest.raises(ClientError) as exc:
+            client.trace("bogus")
+        assert exc.value.status == 400
+        doc = client.trace("chrome")
+        events = [
+            e
+            for e in doc["traceEvents"]
+            if e.get("ph") == "X" and e.get("name") == "repro.server.request"
+        ]
+        assert len(events) == 1
 
     def test_concurrent_diffs_are_identical(self, daemon):
         client, _ = daemon

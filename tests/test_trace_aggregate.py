@@ -1,17 +1,20 @@
-"""Tests for cross-process span/metric aggregation through the batch
-pool: obs envelopes, worker telemetry deltas, spill files, driver-side
-merging, and the ``--trace`` CLI surface.
+"""Tests for cross-process span/metric aggregation through the worker
+pool: obs envelopes, worker telemetry deltas, the caller-side merge into
+the process registry and trace buffer, and the ``--trace`` CLI surface.
 
-The driver-side invariant under test: after a batch run, each merged
-counter in the driver registry equals the sum of the per-worker
-snapshots plus the driver's own contribution — including runs that hit
-per-pair timeouts and broken-pool recovery.
+The invariant under test: each worker envelope is merged once, into the
+caller's registry and trace buffer, so after a batch run each merged
+counter equals what the workers really counted — including runs that
+hit per-pair timeouts and broken-pool recovery — and the trace buffer's
+``max_spans`` bound holds for worker spans too.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -21,7 +24,9 @@ from repro import observability as obs
 from repro.__main__ import main
 from repro.batch import BatchConfig, discover_pairs, run_batch
 from repro.batch.worker import pair_task
-from repro.observability.aggregate import TelemetryCollector, read_spill_dir
+from repro.observability import span
+from repro.observability.aggregate import TelemetryCollector, worker_telemetry
+from repro.server import ReproService
 
 FIXTURES = Path(__file__).parent / "fixtures" / "batch"
 BEFORE = str(FIXTURES / "before")
@@ -30,6 +35,7 @@ AFTER = str(FIXTURES / "after")
 
 @pytest.fixture(autouse=True)
 def _clean_tracing():
+    max_spans = obs.TRACE.max_spans
     obs.disable_tracing()
     obs.reset_tracing()
     obs.disable()
@@ -39,6 +45,7 @@ def _clean_tracing():
     obs.reset_tracing()
     obs.disable()
     obs.reset()
+    obs.TRACE.max_spans = max_spans
 
 
 def _fixture_pairs():
@@ -84,10 +91,6 @@ def dying_counting_fn(before: str, after: str) -> dict:
     return counting_fn(before, after)
 
 
-def _rows_sum(per_worker: dict, counter: str) -> int:
-    return sum(s["counters"].get(counter, 0) for s in per_worker.values())
-
-
 # -- pair task envelope contract ------------------------------------------
 
 
@@ -117,29 +120,25 @@ class TestMergedCountersEqualWorkerSums:
     def test_happy_path_pool(self):
         obs.enable_tracing()
         pairs = [(f"p{i}.py", f"q{i}.py") for i in range(10)]
-        collector = TelemetryCollector(trace=True)
         summary = run_batch(
             pairs,
             BatchConfig(workers=2, timeout_s=5.0),
             pair_fn=counting_fn,
-            collector=collector,
         )
         assert summary.ok == 10
         merged = obs.snapshot()["counters"]
         assert merged["t.pairs_seen"] == 10
-        assert _rows_sum(summary.per_worker, "t.pairs_seen") == 10
-        assert _rows_sum(summary.per_worker, "repro.batch.worker.rows") == 10
+        assert merged["repro.batch.worker.rows"] == 10
+        assert summary.telemetry["envelopes"] == 10  # one per pair task
 
     def test_timeout_run_stays_consistent(self):
         obs.enable_tracing()
         pairs = [(f"p{i}.py", f"q{i}.py") for i in range(4)]
         pairs.insert(2, ("slow.py", "slow_after.py"))
-        collector = TelemetryCollector(trace=True)
         summary = run_batch(
             pairs,
             BatchConfig(workers=2, timeout_s=0.3, retries=0),
             pair_fn=slow_counting_fn,
-            collector=collector,
         )
         assert summary.ok == 4
         assert summary.failures_by_kind.get("timeout") == 1
@@ -147,47 +146,34 @@ class TestMergedCountersEqualWorkerSums:
         # the timed-out pair never reached its counter bump, and its
         # killed worker never wrote a row: the driver wrote the timeout
         assert merged["t.pairs_seen"] == 4
-        assert merged["t.pairs_seen"] == _rows_sum(
-            summary.per_worker, "t.pairs_seen"
-        )
-        assert _rows_sum(summary.per_worker, "repro.batch.worker.rows") == 4
+        assert merged["repro.batch.worker.rows"] == 4
 
-    def test_broken_pool_recovery_stays_consistent(self, tmp_path):
+    def test_broken_pool_recovery_stays_consistent(self):
         obs.enable_tracing()
-        spill = tmp_path / "spill"
-        spill.mkdir()
         pairs = [(f"p{i}.py", f"q{i}.py") for i in range(6)]
         pairs.insert(3, ("die.py", "die_after.py"))
-        collector = TelemetryCollector(trace=True, spill_dir=str(spill))
         summary = run_batch(
             pairs,
             BatchConfig(workers=2, timeout_s=5.0, retries=1),
             pair_fn=dying_counting_fn,
-            collector=collector,
         )
         assert summary.ok == 6
         assert summary.failed == 1
         assert summary.failures_by_kind == {"crash": 1}
         merged = obs.snapshot()["counters"]
-        # a killed worker loses at most its in-flight pairs' counts;
-        # whatever was spilled or returned must agree on both sides
-        assert merged["t.pairs_seen"] == _rows_sum(
-            summary.per_worker, "t.pairs_seen"
-        )
+        # a killed worker returns no envelope for its in-flight pair;
+        # every task that did return merged both counters exactly once
+        assert merged["t.pairs_seen"] == merged["repro.batch.worker.rows"]
         assert merged["t.pairs_seen"] >= 6  # every ok row was counted
 
     def test_one_worker_pool_ships_worker_telemetry(self):
         obs.enable_tracing()
         pairs = [(f"p{i}.py", f"q{i}.py") for i in range(3)]
-        collector = TelemetryCollector(trace=True)
-        summary = run_batch(
-            pairs, BatchConfig(workers=1), pair_fn=counting_fn, collector=collector
-        )
+        summary = run_batch(pairs, BatchConfig(workers=1), pair_fn=counting_fn)
         assert summary.ok == 3
         assert obs.snapshot()["counters"]["t.pairs_seen"] == 3
-        assert len(summary.per_worker) == 1  # one worker process
-        assert _rows_sum(summary.per_worker, "t.pairs_seen") == 3
-        names = [r["name"] for r in collector.finish()]
+        assert len(summary.telemetry["workers"]) == 1  # one worker process
+        names = [r["name"] for r in obs.take_spans()]
         assert names.count("repro.batch.pair") == 3
         assert "repro.batch.run" in names
 
@@ -195,14 +181,12 @@ class TestMergedCountersEqualWorkerSums:
 class TestCausalTraceAcrossPool:
     def test_worker_spans_join_driver_trace(self):
         obs.enable_tracing()
-        collector = TelemetryCollector(trace=True)
         summary = run_batch(
             _fixture_pairs(),
             BatchConfig(workers=2, timeout_s=10.0),
-            collector=collector,
         )
         assert summary.pairs > 0
-        spans = collector.finish()
+        spans = obs.take_spans()
         pids = {r["pid"] for r in spans}
         assert len(pids) >= 2  # driver + at least one pool worker
         assert len({r["span_id"] for r in spans}) == len(spans)
@@ -224,50 +208,110 @@ class TestCausalTraceAcrossPool:
 
     def test_pair_span_records_failure_outcome(self):
         obs.enable_tracing()
-        collector = TelemetryCollector(trace=True)
         run_batch(
             [(f"{BEFORE}/poison.py", f"{AFTER}/poison.py")],
             BatchConfig(workers=1),
-            collector=collector,
         )
         pair = next(
-            r for r in collector.finish() if r["name"] == "repro.batch.pair"
+            r for r in obs.take_spans() if r["name"] == "repro.batch.pair"
         )
         assert pair["status"] == "error"
         assert pair["error_type"] == "syntax"
         assert pair["attrs"]["status"] == "error"
 
-    def test_spill_files_survive_and_merge(self, tmp_path):
-        obs.enable_tracing()
-        spill = tmp_path / "spill"
-        spill.mkdir()
-        collector = TelemetryCollector(trace=True, spill_dir=str(spill))
-        run_batch(
-            _fixture_pairs(),
-            BatchConfig(workers=2, timeout_s=10.0),
-            collector=collector,
-        )
-        spans = collector.finish()
-        assert len({r["pid"] for r in spans}) >= 2
-        # envelopes went through the spill dir, not the pickle channel
-        assert collector.summary()["envelopes"] > 0
-        assert read_spill_dir(str(spill))  # files really were written
 
-    def test_absorb_spills_is_idempotent(self, tmp_path):
-        spill = tmp_path / "spill"
-        spill.mkdir()
-        (spill / "worker-1.jsonl").write_text(
-            json.dumps(
-                {"pid": 1, "spans": [], "metrics": {"counters": {"c": 2}}}
+# -- one trace buffer: worker spans share the caller's bound ----------------
+
+SOURCE = "def f(x):\n    return x + 1\n"
+
+
+def _pooled_diffs(n: int) -> None:
+    """``n`` pooled diffs on a fresh one-worker daemon with traced workers."""
+    service = ReproService(workers=1, collector=TelemetryCollector(trace=True))
+    try:
+        for i in range(n):
+            after = SOURCE.replace("1", str(i + 2))
+            service.handle(
+                "diff", {"before": {"source": SOURCE}, "after": {"source": after}}
             )
-            + "\n"
-        )
-        obs.enable()
-        collector = TelemetryCollector(trace=False, spill_dir=str(spill))
-        assert collector.absorb_spills() == 1
-        assert collector.absorb_spills() == 0
-        collector.finish()
-        assert obs.snapshot()["counters"]["c"] == 2
+    finally:
+        service.close()
+
+
+class TestCallerTraceBuffer:
+    def test_worker_span_drops_count_once(self):
+        obs.enable_tracing(max_spans=1)
+        as_worker = {"driver_pid": -1}  # not this pid: act as a pool worker
+        envelopes = []
+        for _ in range(2):
+            with span("t.kept"):
+                pass
+            with span("t.dropped"):  # the one-span buffer is full
+                pass
+            envelopes.append(worker_telemetry(as_worker))
+        # each envelope reports the drops of its own task only
+        assert [len(e["spans"]) for e in envelopes] == [1, 1]
+        assert [e["dropped_spans"] for e in envelopes] == [1, 1]
+        # the caller, with room to spare, adds each drop once
+        obs.reset_tracing()
+        obs.enable_tracing()
+        collector = TelemetryCollector(trace=True)
+        for envelope in envelopes:
+            collector.absorb(envelope)
+        assert [r["name"] for r in obs.take_spans()] == ["t.kept", "t.kept"]
+        assert obs.TRACE.dropped == 2
+        assert collector.summary()["dropped_spans"] == 2
+
+    def test_concurrent_absorbs_lose_nothing(self):
+        # the daemon resolves pool tasks on many request threads at once
+        obs.enable_tracing()
+        collector = TelemetryCollector(trace=True)
+        envelope = {
+            "pid": 7,
+            "spans": [{"name": "t.s", "dur_ms": 0.0}],
+            "metrics": {"counters": {"t.c": 1}},
+            "dropped_spans": 1,
+        }
+        threads, per = 8, 500
+
+        def absorb_many() -> None:
+            for _ in range(per):
+                collector.absorb(envelope)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=absorb_many) for _ in range(threads)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        total = threads * per
+        assert collector.summary() == {
+            "envelopes": total, "workers": [7], "spans": total, "dropped_spans": total,
+        }
+        assert obs.snapshot()["counters"]["t.c"] == total
+        assert obs.span_count() == total
+        assert obs.TRACE.dropped == total
+
+    def test_daemon_trace_buffer_bounds_worker_spans(self):
+        obs.enable_tracing()
+        _pooled_diffs(30)
+        everything = obs.take_spans()
+        assert obs.TRACE.dropped == 0
+        # the worker's spans landed in this process's buffer
+        assert len({r["pid"] for r in everything}) == 2
+        assert len(everything) > 50
+
+        obs.reset_tracing()
+        obs.enable_tracing(max_spans=50)
+        _pooled_diffs(30)
+        kept = obs.take_spans()
+        assert len(kept) == 50
+        assert len(kept) + obs.TRACE.dropped == len(everything)
 
 
 # -- CLI surface ----------------------------------------------------------
@@ -373,60 +417,3 @@ class TestTraceCLI:
         bad.write_text("hello\n")
         assert main(["trace", str(bad)]) == 2
         assert main(["trace", str(tmp_path / "missing.json")]) == 2
-
-
-# -- spill recovery: a worker killed mid-write ----------------------------
-
-
-class TestTruncatedSpill:
-    GOOD = {
-        "pid": 41,
-        "seq": 1,
-        "spans": [],
-        "metrics": {"counters": {"repro.test.spilled": 2}, "gauges": {}, "histograms": {}},
-        "dropped_spans": 0,
-    }
-
-    def _spill_with_torn_tail(self, tmp_path):
-        spill = tmp_path / "spill"
-        spill.mkdir()
-        line = json.dumps(self.GOOD)
-        # a complete envelope, a non-envelope JSON value (a torn write
-        # that still happens to parse), and a half-written final line
-        (spill / "worker-41.jsonl").write_text(
-            line + "\n" + "42\n" + line[: len(line) // 2], encoding="utf8"
-        )
-        return spill
-
-    def test_read_skips_and_counts_bad_lines(self, tmp_path):
-        spill = self._spill_with_torn_tail(tmp_path)
-        stats: dict = {}
-        envelopes = read_spill_dir(str(spill), stats)
-        assert len(envelopes) == 1
-        assert envelopes[0]["pid"] == 41
-        assert stats["skipped_lines"] == 2
-        assert stats["skipped_files"] == 0
-
-    def test_absorb_spills_merges_survivors_and_counts_losses(self, tmp_path):
-        spill = self._spill_with_torn_tail(tmp_path)
-        obs.enable()
-        collector = TelemetryCollector(spill_dir=str(spill))
-        assert collector.absorb_spills() == 1
-        assert collector.spill_skipped == 2
-        assert collector.summary()["spill_skipped"] == 2
-        # the intact envelope really merged, torn tail notwithstanding
-        assert obs.snapshot()["counters"]["repro.test.spilled"] == 2
-        assert 41 in collector.per_worker
-        # idempotent: a second pass reads nothing and counts nothing new
-        assert collector.absorb_spills() == 0
-        assert collector.spill_skipped == 2
-
-    def test_clean_spill_counts_zero_skips(self, tmp_path):
-        spill = tmp_path / "spill"
-        spill.mkdir()
-        (spill / "worker-41.jsonl").write_text(
-            json.dumps(self.GOOD) + "\n", encoding="utf8"
-        )
-        collector = TelemetryCollector(spill_dir=str(spill))
-        assert collector.absorb_spills() == 1
-        assert collector.summary()["spill_skipped"] == 0

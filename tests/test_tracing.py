@@ -393,14 +393,14 @@ class TestReadSpansFormats:
         path.write_text(json.dumps(spans))
         assert len(obs.read_spans(str(path))) == 3
 
-    def test_jsonl_of_envelopes(self, tmp_path):
+    def test_jsonl_of_records(self, tmp_path):
         spans = _sample_spans()
-        path = tmp_path / "spill.jsonl"
+        path = tmp_path / "spans.jsonl"
         with open(path, "w", encoding="utf8") as fh:
-            fh.write(json.dumps({"pid": 1, "spans": spans[:2]}) + "\n")
-            fh.write(json.dumps(spans[2]) + "\n")
-            fh.write("{truncated")  # worker died mid-write
-        assert len(obs.read_spans(str(path))) == 3
+            for rec in spans:
+                fh.write(json.dumps(rec) + "\n")
+            fh.write("{truncated")  # writer died mid-line
+        assert obs.read_spans(str(path)) == spans
 
     def test_unrecognized_raises(self, tmp_path):
         path = tmp_path / "junk.txt"
